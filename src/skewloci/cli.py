@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 
 from . import __version__
 from .errors import InconsistencyError, PreconditionError
-from .fields import QQ, PrimeField
+from .fields import field_from_wire, from_wire, to_wire
 
 USAGE_EXIT = 2
 PRECONDITION_EXIT = 3
@@ -58,45 +57,10 @@ def _def_schema(schema: dict, name: str) -> dict:
     return sub
 
 
-def parse_field(name: str):
-    if name in ("QQ", "Q"):
-        return QQ
-    if name.startswith("F"):
-        base = name[1:]
-        if "^" in base:
-            raise PreconditionError(
-                "extension fields arise only in outputs; start from Q or F<p>"
-            )
-        return PrimeField(int(base))
-    raise PreconditionError(f"unknown field descriptor {name!r}")
-
-
-def encode_element(x):
-    v = x.v
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        return str(v)
-    return [int(c) for c in v]
-
-
-def decode_scalar(field, s):
-    if isinstance(s, bool) or not isinstance(s, (int, str)):
-        raise PreconditionError(f"cannot read {s!r} as a scalar")
-    if isinstance(s, int):
-        return field(s)
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if field is QQ:
-            return field(Fraction(int(num), int(den)))
-        return field(int(num)) * field(int(den)).inverse()
-    return field(int(s))
-
-
 def serialize_space(space) -> dict:
     return {
         "proj_dim": space.proj_dim,
-        "basis": [[encode_element(x) for x in row] for row in space.rows],
+        "basis": [[to_wire(x) for x in row] for row in space.rows],
     }
 
 
@@ -104,16 +68,16 @@ def _decode_matrix(field, doc):
     from .linalg import skew_from_pairs
 
     if "pairs" in doc:
-        coeffs = [decode_scalar(field, s) for s in doc["pairs"]]
+        coeffs = [from_wire(field, s) for s in doc["pairs"]]
         return skew_from_pairs(field, coeffs)
     if "matrix" in doc:
-        return [[decode_scalar(field, s) for s in row] for row in doc["matrix"]]
+        return [[from_wire(field, s) for s in row] for row in doc["matrix"]]
     raise PreconditionError("input needs either 'pairs' or 'matrix'")
 
 
 def _decode_pairs_vectors(field, doc, count):
     gens = doc["generators"]
-    return [[decode_scalar(field, s) for s in g] for g in gens[:count]]
+    return [[from_wire(field, s) for s in g] for g in gens[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +91,7 @@ def run_pfaffian(field, doc, seed, trials):
     check_skew(field, M)
     return {
         "order": len(M),
-        "pfaffian": encode_element(pfaffian_field(field, M)),
+        "pfaffian": to_wire(pfaffian_field(field, M)),
         "rank": rank(field, M),
     }
 
@@ -140,7 +104,7 @@ def run_classify(field, doc, seed, trials):
     return {
         "kind": cls.kind,
         "rank": cx.rank(),
-        "pfaffian": encode_element(cls.pf),
+        "pfaffian": to_wire(cls.pf),
         "singular_space": serialize_space(cls.singular_space),
     }
 
@@ -158,7 +122,7 @@ def run_pencil(field, doc, seed, trials):
     rep = alpha(pen, seed=seed)
     members = [
         {
-            "parameter": [encode_element(m.lam), encode_element(m.mu)],
+            "parameter": [to_wire(m.lam), to_wire(m.mu)],
             "multiplicity": m.multiplicity,
             "kind": m.kind,
             "field": m.complex.field.short(),
@@ -213,7 +177,7 @@ def run_net(field, doc, seed, trials):
         "kind": trep.kind,
         "witness_kind": trep.witness_kind,
         "witness": (
-            [encode_element(x) for x in trep.witness]
+            [to_wire(x) for x in trep.witness]
             if trep.witness is not None
             else None
         ),
@@ -235,7 +199,7 @@ def run_net(field, doc, seed, trials):
             smooth = None
             notes.append("smoothness is undecided over this field")
         cubic_obj = {
-            "coefficients": [encode_element(c) for c in cubic.coeffs],
+            "coefficients": [to_wire(c) for c in cubic.coeffs],
             "smooth": smooth,
         }
 
@@ -304,7 +268,7 @@ def run_fournets(field, doc, seed, trials):
         "companions": [
             {
                 "generators": [
-                    [encode_element(x) for x in g.coeffs()]
+                    [to_wire(x) for x in g.coeffs()]
                     for g in comp.generators
                 ]
             }
@@ -321,9 +285,9 @@ def run_fournets(field, doc, seed, trials):
         ],
         "escalations": [
             {
-                "torsion_rep": [encode_element(x) for x in trep],
+                "torsion_rep": [to_wire(x) for x in trep],
                 "point": (
-                    [encode_element(x) for x in pt] if pt is not None else None
+                    [to_wire(x) for x in pt] if pt is not None else None
                 ),
                 "reason": reason,
             }
@@ -531,7 +495,7 @@ def main(argv=None) -> int:
     if command in _INPUT_DEFS:
         try:
             input_doc, input_path = _load_input(args.source)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: ints over 4300 digits
             return _usage_error(f"cannot read input: {e}")
 
     config = {
@@ -563,7 +527,7 @@ def main(argv=None) -> int:
     try:
         field = None
         if command in _FIELD_COMMANDS:
-            field = parse_field(config["field"])
+            field = field_from_wire(config["field"])
         if command == "pfaffian":
             result = run_pfaffian(field, input_doc, args.seed, args.trials)
         elif command == "complex-classify":

@@ -22,17 +22,32 @@ from .errors import InconsistencyError, PreconditionError, UnsupportedFieldError
 # larger fields switch to randomized equal-degree splitting.
 SCAN_LIMIT = 10_000
 
+# The smallest strong pseudoprime to all twelve bases 2..37 (psi_12): below it
+# _is_probable_prime is a proof of primality, so prime fields stop here.
+PRIME_BOUND = 318_665_857_834_031_151_167_461
 
-def _is_prime(n: int) -> bool:
+
+def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # deterministic below PRIME_BOUND
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -243,7 +258,9 @@ class PrimeField(Field):
     """F_p for an odd prime p.  Elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if p >= PRIME_BOUND:
+            raise PreconditionError(f"prime fields are limited to p < {PRIME_BOUND}")
+        if not _is_probable_prime(p):
             raise PreconditionError(f"{p} is not prime")
         if p == 2:
             raise UnsupportedFieldError("characteristic 2 is not supported")
@@ -260,7 +277,7 @@ class PrimeField(Field):
             return value
         if isinstance(value, Fraction):
             if value.denominator % self.char == 0:
-                raise ZeroDivisionError("denominator divisible by the characteristic")
+                raise PreconditionError(f"{value} has a denominator divisible by {self.char}")
             return self(value.numerator) / self(value.denominator)
         return FieldElement(self, value % self.char)
 
@@ -871,46 +888,20 @@ class RootResult:
         return f"RootResult({self.pairs!r})"
 
 
+def _deflate(f: Poly, a: FieldElement) -> tuple[Poly, int]:
+    """Divide out x - a as often as it divides f: (cofactor, multiplicity)."""
+    lin = Poly(f.field, [-a, 1])
+    mult = 0
+    while True:
+        q, r = divmod(f, lin)
+        if not r.is_zero():
+            return f, mult
+        mult += 1
+        f = q
+
+
 def _scan_roots(f: Poly) -> list[tuple[FieldElement, int]]:
-    out = []
-    field = f.field
-    for a in field.elements():
-        if f(a).is_zero():
-            mult = 0
-            g = f
-            lin = Poly(field, [-a, 1])
-            while True:
-                q, r = divmod(g, lin)
-                if not r.is_zero():
-                    break
-                mult += 1
-                g = q
-            out.append((a, mult))
-    return out
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic witness set for 64-bit and well beyond
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return [(a, _deflate(f, a)[1]) for a in f.field.elements() if f(a).is_zero()]
 
 
 def _pollard_rho(n: int) -> int:
@@ -983,14 +974,7 @@ def _rational_roots(f: Poly) -> list[tuple[FieldElement, int]]:
     # root at zero
     if ints and ints[0] == 0:
         zero = f.field.zero
-        lin = Poly(f.field, [0, 1])
-        mult = 0
-        while True:
-            q, r = divmod(g, lin)
-            if not r.is_zero():
-                break
-            mult += 1
-            g = q
+        g, mult = _deflate(g, zero)
         out.append((zero, mult))
         while ints and ints[0] == 0:
             ints = ints[1:]
@@ -1013,14 +997,7 @@ def _rational_roots(f: Poly) -> list[tuple[FieldElement, int]]:
                 seen.add(cand)
                 x = f.field(cand)
                 if g(x).is_zero():
-                    lin = Poly(f.field, [-x, f.field.one])
-                    mult = 0
-                    while True:
-                        q, r = divmod(g, lin)
-                        if not r.is_zero():
-                            break
-                        mult += 1
-                        g = q
+                    g, mult = _deflate(g, x)
                     out.append((x, mult))
     return out
 
@@ -1084,54 +1061,47 @@ def roots(f: Poly, allow_extension: bool = False, seed: int = 0) -> RootResult:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format
+# wire format: the one reading and writing of fields and scalars in JSON
 
 
-def field_to_json(field: Field) -> dict:
-    if field.char == 0:
-        return {"char": 0, "deg": 1}
-    if field.degree == 1:
-        return {"char": field.char, "deg": 1}
-    return {"char": field.char, "deg": field.degree, "modulus": list(field.modulus)}
+def field_from_wire(name: str) -> Field:
+    """The field named Q, QQ or F<p>; extension fields arise only in outputs.
 
-
-def field_from_json(obj) -> Field:
-    if not isinstance(obj, dict) or "char" not in obj:
-        raise PreconditionError("field literal must be an object with a 'char' key")
-    char = obj["char"]
-    deg = obj.get("deg", 1)
-    if char == 0:
+    A field is written back as its short() name.
+    """
+    if name in ("Q", "QQ"):
         return QQ
-    if deg == 1:
-        return PrimeField(char)
-    if "modulus" not in obj:
-        raise PreconditionError("extension field literal requires an explicit modulus")
-    return ExtField(char, tuple(obj["modulus"]))
+    if name.startswith("F") and "^" in name:
+        raise PreconditionError("extension fields arise only in outputs; start from Q or F<p>")
+    if name.startswith("F") and name[1:].isdecimal():
+        return PrimeField(int(name[1:]))
+    raise PreconditionError(f"unknown field descriptor {name!r}")
 
 
-def element_to_json(x: FieldElement):
-    if isinstance(x.field, Rationals):
-        if x.v.denominator == 1:
-            return str(x.v.numerator)
-        return f"{x.v.numerator}/{x.v.denominator}"
-    if isinstance(x.field, PrimeField):
-        return x.v
-    return list(x.v)
+def to_wire(x: FieldElement):
+    """An int over F_p, an "a/b" string over Q, an int list over F_{p^k}."""
+    v = x.v
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction):
+        return str(v)
+    return list(v)
 
 
-def element_from_json(field: Field, data) -> FieldElement:
-    if isinstance(field, Rationals):
-        if isinstance(data, str):
-            return field(Fraction(data))
-        if isinstance(data, int):
-            return field(data)
-        raise PreconditionError(f"bad rational literal {data!r}")
-    if isinstance(field, PrimeField):
-        if not isinstance(data, int):
-            raise PreconditionError(f"bad prime-field literal {data!r}")
+def from_wire(field: Field, data) -> FieldElement:
+    """Read an int, an "a/b" string or, over F_{p^k}, an int list.
+
+    "a/b" is reduced to lowest terms first; over F_p it is refused when p
+    divides the reduced denominator.
+    """
+    if type(data) is int:
         return field(data)
-    if isinstance(data, int):
+    if isinstance(data, str):
+        try:
+            q = Fraction(data)
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"cannot read {data!r} as a scalar") from None
+        return field(q)
+    if isinstance(field, ExtField) and isinstance(data, list) and all(type(c) is int for c in data):
         return field(data)
-    if isinstance(data, list):
-        return field(data)
-    raise PreconditionError(f"bad extension-field literal {data!r}")
+    raise PreconditionError(f"cannot read {data!r} as a scalar over {field.short()}")

@@ -43,22 +43,6 @@ def mat_vec(A, v):
     return [sum((x * y for x, y in zip(row, v)), start=row[0].field.zero) for row in A]
 
 
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
-
-
-def vec_is_zero(v) -> bool:
-    return all(x.is_zero() for x in v)
-
-
 def rref(field, rows):
     """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
     R = [list(r) for r in rows]

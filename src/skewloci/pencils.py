@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import Field, Poly, identity_embedding, roots
 from .linalg import rank, skew_from_pairs
-from .projective import Subspace, join, meet, subspace_points
+from .projective import Subspace, join, meet, random_vector, subspace_points
 
 
 class Pencil:
@@ -294,8 +294,8 @@ def pencils_with_singular_lines(l1: Subspace, l2: Subspace, l3: Subspace,
     vertices = [fam.h12.coeffs(), fam.h13.coeffs(), fam.h23.coeffs()]
     if kind == "a":
         for _ in range(200):
-            p = _random_combo(field, rng, fam.sigma)
-            q = _random_combo(field, rng, fam.sigma)
+            p = random_vector(fam.sigma, rng)
+            q = random_vector(fam.sigma, rng)
             L = Subspace(field, 15, [p, q])
             if L.dim != 2:
                 continue
@@ -316,7 +316,7 @@ def pencils_with_singular_lines(l1: Subspace, l2: Subspace, l3: Subspace,
         fib = special_fiber(field, l3)
         for _ in range(200):
             p = fam.h12.coeffs()
-            q = _random_combo(field, rng, fib)
+            q = random_vector(fib, rng)
             L = Subspace(field, 15, [p, q])
             if L.dim != 2:
                 continue
@@ -333,16 +333,6 @@ def pencils_with_singular_lines(l1: Subspace, l2: Subspace, l3: Subspace,
                 return pen
         raise PreconditionError("no suitable pencil through the vertex was found")
     raise PreconditionError("kind must be 'a' or 'b'")
-
-
-def _random_combo(field, rng, space: Subspace):
-    while True:
-        cs = [field.random(rng) for _ in range(space.dim)]
-        v = [field.zero] * space.n
-        for c, row in zip(cs, space.rows):
-            v = [a + c * b for a, b in zip(v, row)]
-        if any(not x.is_zero() for x in v):
-            return v
 
 
 def _assert_type_a(pen: Pencil, expected_lines):

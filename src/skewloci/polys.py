@@ -27,6 +27,7 @@ from .fields import (
     roots,
 )
 from .linalg import det as field_det
+from .projective import projective_reps
 
 
 class MPoly:
@@ -417,25 +418,14 @@ def _enumeration_search(field, forms, max_points):
         caveat = "enumeration skipped: base field too large"
     for K, emb in towers:
         lifted = [F.map_coeffs(emb) for F in forms]
-        for p in _projective_plane_points(K):
+        for p in projective_reps(K, 3):
             if all(F.evaluate(p).is_zero() for F in lifted):
                 return ZeroSearch(
-                    True, p, K, emb, certificate="enumeration", caveat=None
+                    True, list(p), K, emb, certificate="enumeration", caveat=None
                 )
     if towers:
         caveat = f"enumeration exhausted {len(towers)} tower level(s) without a hit"
     return ZeroSearch(False, certificate="enumeration", caveat=caveat)
-
-
-def _projective_plane_points(K):
-    one = K.one
-    zero = K.zero
-    for y in K.elements():
-        for z in K.elements():
-            yield [one, y, z]
-    for z in K.elements():
-        yield [zero, one, z]
-    yield [zero, zero, one]
 
 
 def common_projective_zero(

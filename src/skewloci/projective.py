@@ -217,6 +217,17 @@ def subspace_points(space: Subspace):
         yield v
 
 
+def random_vector(space: Subspace, rng):
+    """A nonzero vector of the subspace with seeded random coordinates."""
+    while True:
+        cs = [space.field.random(rng) for _ in range(space.dim)]
+        v = [space.field.zero] * space.n
+        for c, row in zip(cs, space.rows):
+            v = [a + c * b for a, b in zip(v, row)]
+        if any(not x.is_zero() for x in v):
+            return v
+
+
 def map_subspace(emb, space: Subspace) -> Subspace:
     """Extend scalars of a subspace along a field embedding."""
     return Subspace(emb.dst, space.n, [[emb(x) for x in r] for r in space.rows])

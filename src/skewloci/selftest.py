@@ -60,6 +60,7 @@ from .projective import (
     meet,
     normalize_projective,
     pluecker_of_line,
+    random_vector,
     subspace_points,
 )
 
@@ -128,16 +129,6 @@ def _random_case1_triple(field, rng):
             continue
         if classify_configuration(*lines).case_id == 1:
             return lines
-
-
-def _combo(field, rng, space):
-    while True:
-        v = [field.zero] * space.n
-        for row in space.rows:
-            c = field.random(rng)
-            v = [a + c * b for a, b in zip(v, row)]
-        if any(not x.is_zero() for x in v):
-            return v
 
 
 def _random_skew(field, rng, n, digit_entries=False):
@@ -324,8 +315,8 @@ def criterion_5() -> CriterionResult:
         expected = {l1, l2, l3}
         done = 0
         while done < 10:
-            p = _combo(F, rng, sigma)
-            q = _combo(F, rng, sigma)
+            p = random_vector(sigma, rng)
+            q = random_vector(sigma, rng)
             line = Subspace(F, 15, [p, q])
             if line.dim != 2 or any(line.contains_vector(v) for v in verts):
                 continue
@@ -345,7 +336,7 @@ def criterion_5() -> CriterionResult:
         fib3 = special_fiber(F, l3)
         done = 0
         while done < 10:
-            q = _combo(F, rng, fib3)
+            q = random_vector(fib3, rng)
             if Subspace(F, 15, [verts[0], q]).dim != 2:
                 continue
             pen = Pencil(
@@ -397,7 +388,7 @@ def criterion_6() -> CriterionResult:
         h12 = second_type_complex(F, join(l1, l2))
         fib3 = special_fiber(F, l3)
         while True:
-            q = _combo(F, rng, fib3)
+            q = random_vector(fib3, rng)
             if Subspace(F, 15, [h12.coeffs(), q]).dim != 2:
                 continue
             pen = Pencil(F, h12, LinearComplex.from_pairs(F, q))

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import shlex
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewloci import selftest
 from skewloci.cli import load_schema, main
-from skewloci.fields import PrimeField
+from skewloci.fields import PRIME_BOUND, PrimeField
 
 SCHEMA = load_schema()
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -234,6 +241,36 @@ def test_precondition_errors(capsys):
     assert code == 3
     assert "not prime" in json.loads(err)["error"]["message"]
 
+    # p divides the denominator of a scalar
+    doc = json.dumps({"field": "F7", "pairs": ["1/7"] + [0] * 14})
+    code, _, err = run_cli(capsys, "pfaffian", doc)
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
+
+    doc = json.dumps({"field": f"F{PRIME_BOUND}", "matrix": [[0, 1], [-1, 0]]})
+    code, _, err = run_cli(capsys, "pfaffian", doc)
+    assert code == 3
+    assert "limited" in json.loads(err)["error"]["message"]
+
+
+def test_fraction_scalars_reduce_before_the_characteristic_check(capsys):
+    vec = ["14/7"] + [0] * 8 + [1, 0, 0, 0, 0, 1]
+    code, out, _ = run_cli(capsys, "pfaffian", json.dumps({"field": "F7", "pairs": vec}))
+    assert code == 0
+    assert check_report(out)["result"]["pfaffian"] == 2
+
+
+def test_large_prime_field_answers(capsys):
+    vec = ["1/7"] + [0] * 8 + [1, 0, 0, 0, 0, 3]
+    doc = json.dumps({"field": "F2305843009213693951", "pairs": vec})
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "pfaffian", doc)
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    report = check_report(out)
+    p = 2**61 - 1
+    assert report["result"]["pfaffian"] == 3 * pow(7, -1, p) % p
+
 
 def test_json_out_matches_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
@@ -289,3 +326,69 @@ def test_corpus_documents_validate():
         sub = dict(SCHEMA["$defs"][defs[doc["kind"]]])
         sub["$defs"] = SCHEMA["$defs"]
         jsonschema.validate(doc, sub)
+
+
+def test_fournets_refuses_conjugate_directrix_planes(capsys):
+    """Over F7 the corpus net's two unisecant planes are not rational."""
+    code, _, err = run_cli(capsys, "net", "fournets", corpus_path("net_f7.json"))
+    assert code == 3
+    assert json.loads(err)["error"]["message"] == (
+        "both unisecant planes must be defined over the base field"
+    )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    """Every command-line example in the README exits 0; the acceptance
+    suite covers selftest."""
+    monkeypatch.chdir(README.parent)
+    lines = [
+        line for line in README.read_text().splitlines()
+        if line.startswith("skewloci ") and line != "skewloci selftest"
+    ]
+    assert len(lines) >= 8
+    for line in lines:
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        check_report(out)
+
+
+_FUZZ_FIELDS = (
+    "F3", "F5", "F7", "F101", "F2", "F1", "F4", "F6", "F9", "F15", "F7^2", "Q", "QQ",
+    "F2305843009213693951", f"F{PRIME_BOUND}",
+)
+
+
+@st.composite
+def _fuzz_request(draw):
+    field = draw(st.sampled_from(_FUZZ_FIELDS))
+    p = int(field[1:].split("^")[0]) if field.startswith("F") else 7
+    ints = st.integers(-(10**20), 10**20)
+    dens = st.integers(1, 5).map(lambda k: k * p) | st.integers(1, 10**6)
+    scalar = st.one_of(
+        ints,
+        st.builds(lambda a, b: f"{a}/{b}", ints, dens),
+        st.lists(ints, min_size=1, max_size=3),
+    )
+    if draw(st.booleans()):
+        doc = {"field": field, "pairs": draw(st.lists(scalar, min_size=15, max_size=15))}
+    else:
+        n = draw(st.integers(1, 6))
+        matrix = draw(st.lists(st.lists(scalar, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        doc = {"field": field, "matrix": matrix}
+    command = draw(st.sampled_from((["pfaffian"], ["complex", "classify"])))
+    return command + [json.dumps(doc)]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_fuzz_request())
+def test_fuzzed_scalar_inputs_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        check_report(out.getvalue())

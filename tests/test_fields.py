@@ -1,23 +1,27 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewloci.errors import PreconditionError, UnsupportedFieldError
 from skewloci.fields import (
     QQ,
     ExtField,
     Poly,
+    PRIME_BOUND,
     PrimeField,
-    element_from_json,
-    element_to_json,
+    _is_probable_prime,
     extend_field,
     factor,
-    field_from_json,
-    field_to_json,
+    field_from_wire,
+    from_wire,
     is_irreducible,
     poly_gcd,
     roots,
+    to_wire,
 )
 
 
@@ -244,18 +248,73 @@ def test_embedding_rejects_foreign_elements():
 
 
 def test_field_json_roundtrip():
-    for field in (QQ, PrimeField(7), ExtField(7, (1, 0, 1))):
-        again = field_from_json(field_to_json(field))
-        assert again == field
+    for field in (QQ, PrimeField(7), PrimeField(2**61 - 1)):
+        assert field_from_wire(field.short()) == field
+    assert field_from_wire("QQ") == QQ
     x = QQ(Fraction(-3, 4))
-    assert element_from_json(QQ, element_to_json(x)) == x
+    assert to_wire(x) == "-3/4"
+    assert from_wire(QQ, to_wire(x)) == x
     F = ExtField(5, (2, 0, 1))
     y = F((3, 4))
-    assert element_from_json(F, element_to_json(y)) == y
+    assert to_wire(y) == [3, 4]
+    assert from_wire(F, to_wire(y)) == y
+    F7 = PrimeField(7)
+    assert from_wire(F7, "3/4") == F7(3) / F7(4)
+    assert from_wire(F7, "-5") == F7(2)
+    # "a/b" is reduced to lowest terms before p is checked against b
+    assert from_wire(F7, "14/7") == F7(2)
 
 
 def test_element_json_rejects_malformed():
+    F7 = PrimeField(7)
+    for bad in ("1/7", "3/14", "x", "1/0", "", True, 1.5, None, [1, 2]):
+        with pytest.raises(PreconditionError):
+            from_wire(F7, bad)
+    for bad in ([1, "2"], [True], "1/2"):
+        with pytest.raises(PreconditionError):
+            from_wire(ExtField(5, (2, 0, 1)), bad)
     with pytest.raises(PreconditionError):
-        element_from_json(PrimeField(7), "3/4")
-    with pytest.raises(PreconditionError):
-        field_from_json({"char": 7, "deg": 2})
+        from_wire(QQ, [1])
+    for name in ("F7^2", "F6", "F1", "F", "F-7", "R", f"F{PRIME_BOUND}"):
+        with pytest.raises(PreconditionError):
+            field_from_wire(name)
+    with pytest.raises(UnsupportedFieldError):
+        field_from_wire("F2")
+
+
+def test_prime_fields_stop_at_the_miller_rabin_bound():
+    # PRIME_BOUND is composite, yet it passes the strong test for bases 2..37
+    assert PRIME_BOUND == 399_165_290_221 * 798_330_580_441
+    assert _is_probable_prime(PRIME_BOUND)
+    with pytest.raises(PreconditionError, match="limited"):
+        PrimeField(PRIME_BOUND)
+    for p in (3, 101, 2**61 - 1, 2**64 - 59):
+        assert PrimeField(p).char == p
+    for n in (9, 561, 3215031751, 2**61 + 1):
+        with pytest.raises(PreconditionError, match="not prime"):
+            PrimeField(n)
+
+
+_WIRE_FIELDS = (
+    QQ, PrimeField(7), PrimeField(2**61 - 1), ExtField(5, (2, 0, 1)), ExtField(3, (1, 2, 0, 1)),
+)
+
+
+@st.composite
+def _field_elements(draw):
+    field = draw(st.sampled_from(_WIRE_FIELDS))
+    ints = st.integers(-(10**30), 10**30)
+    if field is QQ:
+        value = Fraction(draw(ints), draw(st.integers(1, 10**30)))
+    elif field.degree == 1:
+        value = draw(ints)
+    else:
+        value = draw(st.lists(ints, min_size=field.degree, max_size=field.degree))
+    return field(value)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_field_elements())
+def test_wire_roundtrip_property(x):
+    assert from_wire(x.field, to_wire(x)) == x
+    assert from_wire(x.field, json.loads(json.dumps(to_wire(x)))) == x

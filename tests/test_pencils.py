@@ -22,7 +22,14 @@ from skewloci.pencils import (
     sigma_family,
     trisecant,
 )
-from skewloci.projective import Subspace, join, line_through, meet, map_subspace
+from skewloci.projective import (
+    Subspace,
+    join,
+    line_through,
+    map_subspace,
+    meet,
+    random_vector,
+)
 
 
 def _pairs_vec(**kw):
@@ -168,9 +175,7 @@ def test_trisecant_randomized_case_2():
             continue
         # force l3 through a point of the join to drop the span to P^4
         span12 = join(l1, l2)
-        from skewloci.pencils import _random_combo
-
-        p = _random_combo(F, rng, span12)
+        p = random_vector(span12, rng)
         q = [F.random(rng) for _ in range(6)]
         l3 = Subspace(F, 6, [p, q])
         if l3.dim != 2:
