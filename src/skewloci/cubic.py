@@ -441,33 +441,65 @@ class TwoTorsionReport:
         return f"TwoTorsionReport({len(self.classes)} classes)"
 
 
+def _lines_through(field, p):
+    """(a, b, W): the lines through p are spanned by p and W = al e_a + be e_b."""
+    a, b = _other_indices(_pivot(p))
+    W = [MPoly.zero(field, 2)] * 3
+    W[a] = MPoly.variable(field, 2, 0)
+    W[b] = MPoly.variable(field, 2, 1)
+    return a, b, W
+
+
+def _halve(C: PlaneCubic, R):
+    """All rational points P with 2P = R, sorted.
+
+    2P = R exactly when the tangent at P passes through S = R*O.  The line
+    through S and w meets the curve again where a s^2 + b s u + d u^2 = 0
+    (a = grad F(S).w, b = grad F(w).S, d = F(w)), so it is tangent there at
+    the base-field roots of the quartic b^2 - 4ad; each contact point is
+    certified by one doubling.
+    """
+    field = C.field
+    S = third_point(C, R, _require_base(C))
+    _, _, W = _lines_through(field, S)
+    gS = C.gradient(S)
+    zero = MPoly.zero(field, 2)
+    a = sum((W[k] * gS[k] for k in range(3)), start=zero)
+    b = sum((dF.substitute(W) * S[k] for k, dF in enumerate(C.partials())), start=zero)
+    disc = b * b - a * C.as_mpoly().substitute(W) * 4
+    if disc.is_zero():
+        raise InconsistencyError("every line through S is tangent to the cubic")
+    p, drop = binary_form_to_poly(disc, 0, 1)
+    directions = [(field.zero, field.one)] if drop > 0 else []
+    if p.degree >= 1:
+        directions += [(field.one, t) for t, _ in roots(p).pairs]
+    contact = [a * W[k] * 2 - b * S[k] for k in range(3)]
+    out = set()
+    for t in directions:
+        v = [x.evaluate(t) for x in contact]
+        # v vanishes only where a = b = 0: a flex tangent at S, touching at S
+        P = S if all(x.is_zero() for x in v) else tuple(normalize_projective(v))
+        if add_points(C, P, P) == R:
+            out.add(P)
+    return sorted(out, key=lambda P: [field.sort_key(x.v) for x in P])
+
+
 def two_torsion(C: PlaneCubic) -> TwoTorsionReport:
-    """All rational 2-torsion divisor classes, found by a point scan."""
-    O = _require_base(C)
-    if C.field.order is None:
-        raise UnsupportedFieldError("the torsion scan needs a finite field")
-    seen = {}
-    for pt in C.rational_points():
-        if add_points(C, pt, pt) == O and pt not in seen:
-            seen[pt] = DivisorClass(C, 0, pt)
-    classes = [seen[k] for k in sorted(seen, key=lambda p: [C.field.sort_key(x.v) for x in p])]
+    """All rational 2-torsion divisor classes, from the tangents through O*O."""
+    classes = [DivisorClass(C, 0, P) for P in _halve(C, _require_base(C))]
     if len(classes) not in (1, 2, 4):
         raise InconsistencyError("2-torsion subgroup has impossible order")
     return TwoTorsionReport(classes, len(classes) == 4)
 
 
 def halvings(C: PlaneCubic, Q: DivisorClass):
-    """All rational points P with 2([P] - [O]) = Q, by exhaustive scan."""
+    """All rational points P with 2([P] - [O]) = Q, sorted."""
     _require_base(C)
-    if C.field.order is None:
-        raise UnsupportedFieldError("the halving scan needs a finite field")
     if Q.degree != 0:
         raise PreconditionError("halving applies to degree-0 classes")
-    out = [pt for pt in C.rational_points() if add_points(C, pt, pt) == Q.rep]
-    if out:
-        torsion = two_torsion(C)
-        if len(out) != len(torsion.classes):
-            raise InconsistencyError("halving count does not match the torsion order")
+    out = _halve(C, Q.rep)
+    if out and len(out) != len(two_torsion(C).classes):
+        raise InconsistencyError("halving count does not match the torsion order")
     return out
 
 
@@ -625,48 +657,43 @@ def _rank2_contact(C: PlaneCubic, M, seed):
     return entries
 
 
+def _stereographic_pullback(C: PlaneCubic, M, p):
+    """Pull the cubic back through the stereographic map of the conic M from p.
+
+    Returns the pulled-back sextic on the lines of _lines_through(p) as
+    binary_form_to_poly gives it, the tangent covector pM on their two
+    spanning points, and param_point(alpha, beta, emb=None): the conic point
+    of parameter (alpha : beta) over alpha's field, reached by emb.
+    """
+    field = C.field
+    a, b, W = _lines_through(field, p)
+    pM = [sum((p[i] * M[i][j] for i in range(3)), start=field.zero) for j in range(3)]
+    ua, ub = pM[a], pM[b]
+    if ua.is_zero() and ub.is_zero():
+        raise InconsistencyError("tangent covector vanished on the complement line")
+    al, be = W[a], W[b]
+    waw = al * al * M[a][a] + al * be * (M[a][b] + M[a][b]) + be * be * M[b][b]
+    pMw = al * ua + be * ub
+    B = C.as_mpoly().substitute([waw * p[i] - pMw * W[i] * 2 for i in range(3)])
+    if B.is_zero():
+        raise InconsistencyError("stereographic pullback of the cubic vanished")
+
+    def param_point(alpha, beta, emb=None):
+        MK = M if emb is None else [[emb(x) for x in row] for row in M]
+        pK = p if emb is None else [emb(x) for x in p]
+        w = [alpha.field.zero] * 3
+        w[a], w[b] = alpha, beta
+        s1 = _bilinear(MK, w, w)
+        s2 = _bilinear(MK, pK, w)
+        return [s1 * pK[i] - (s2 + s2) * w[i] for i in range(3)]
+
+    return binary_form_to_poly(B, 0, 1), (ua, ub), param_point
+
+
 def _rank3_contact(C: PlaneCubic, M, k, seed):
     """Contact divisor via the stereographic parametrization from the pole."""
     field = C.field
-    a, b = _other_indices(_pivot(k))
-    kM = [sum((k[i] * M[i][j] for i in range(3)), start=field.zero) for j in range(3)]
-    ua, ub = kM[a], kM[b]
-    if ua.is_zero() and ub.is_zero():
-        raise InconsistencyError("tangent covector vanished on the complement line")
-    # parameter (al : be) on the line spanned by the two coordinate points
-    al = MPoly.variable(field, 2, 0)
-    be = MPoly.variable(field, 2, 1)
-    waw = (
-        al * al * MPoly.constant(field, 2, M[a][a])
-        + al * be * MPoly.constant(field, 2, (field.one + field.one) * M[a][b])
-        + be * be * MPoly.constant(field, 2, M[b][b])
-    )
-    kMw = al * MPoly.constant(field, 2, ua) + be * MPoly.constant(field, 2, ub)
-    two = field.one + field.one
-    X = []
-    for i in range(3):
-        comp = waw * MPoly.constant(field, 2, k[i])
-        if i == a:
-            comp = comp - kMw * al * MPoly.constant(field, 2, two)
-        elif i == b:
-            comp = comp - kMw * be * MPoly.constant(field, 2, two)
-        X.append(comp)
-    B = C.as_mpoly().substitute(X)
-    p, drop = binary_form_to_poly(B, 0, 1)
-    if p.is_zero() and drop == 0:
-        raise InconsistencyError("stereographic pullback of the cubic vanished")
-
-    def param_point(alpha, beta, emb):
-        MK = [[emb(x) for x in row] for row in M]
-        kK = [emb(x) for x in k]
-        w = [emb(field.zero)] * 3
-        w[a] = alpha
-        w[b] = beta
-        s1 = _bilinear(MK, w, w)
-        s2 = _bilinear(MK, kK, w)
-        twoK = emb(two)
-        return [s1 * kK[i] - twoK * s2 * w[i] for i in range(3)]
-
+    (p, drop), (ua, ub), param_point = _stereographic_pullback(C, M, k)
     # the pole's own parameter is the tangent direction; remove it twice
     if ub.is_zero():
         if drop < 2:
@@ -678,12 +705,12 @@ def _rank3_contact(C: PlaneCubic, M, k, seed):
     ident = identity_embedding(field)
     entries = [SectionPoint(k, 2, field, ident)]
     if drop > 0:
-        entries.append(SectionPoint(param_point(field.zero, field.one, ident), drop, field, ident))
+        entries.append(SectionPoint(param_point(field.zero, field.one), drop, field, ident))
     if p.degree >= 1:
         rr = roots(p, allow_extension=field.order is not None, seed=seed)
         for rt, m in rr.pairs:
             if rt.field == field:
-                entries.append(SectionPoint(param_point(field.one, rt, ident), m, field, ident))
+                entries.append(SectionPoint(param_point(field.one, rt), m, field, ident))
             else:
                 ext, emb = rr.splitting
                 entries.append(SectionPoint(param_point(emb(field.one), rt, emb), m, ext, emb))

@@ -14,6 +14,7 @@ extension by extend_field.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from .errors import InconsistencyError, PreconditionError, UnsupportedFieldError
@@ -944,6 +945,10 @@ def _int_divisors(n: int, cap: int = 100_000) -> list[int]:
         if m == 1:
             continue
         if _is_probable_prime(m):
+            if m >= PRIME_BOUND:
+                raise UnsupportedFieldError(
+                    "rational root search: a cofactor is too large to prove prime"
+                )
             fac[m] = fac.get(m, 0) + 1
             continue
         f = _pollard_rho(m)
@@ -1084,7 +1089,13 @@ def to_wire(x: FieldElement):
     if isinstance(v, int):
         return v
     if isinstance(v, Fraction):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:
+            raise PreconditionError(
+                "a rational result exceeds Python's limit of "
+                f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+            ) from None
     return list(v)
 
 

@@ -18,10 +18,8 @@ from .complexes import LinearComplex, special_fiber
 from .cubic import (
     CONIC_MONOMIALS,
     PlaneCubic,
-    _bilinear,
     _conic_matrix,
-    _other_indices,
-    _pivot,
+    _stereographic_pullback,
 )
 from .errors import (
     DegenerateInputError,
@@ -39,7 +37,7 @@ from .linalg import (
     rank,
     sub_pfaffians_6,
 )
-from .polys import MPoly, binary_form_to_poly, common_projective_zero
+from .polys import MPoly, common_projective_zero
 from .projective import (
     Subspace,
     join,
@@ -361,41 +359,6 @@ def _conic_rational_point(field, M, Q):
     raise InconsistencyError("a plane conic over a finite field lost all its points")
 
 
-def _stereographic_sextic(field, cubic: PlaneCubic, M, p):
-    """Pull the cubic back through the stereographic map of the conic from p."""
-    a, b = _other_indices(_pivot(p))
-    pM = [sum((p[i] * M[i][j] for i in range(3)), start=field.zero) for j in range(3)]
-    ua, ub = pM[a], pM[b]
-    al = MPoly.variable(field, 2, 0)
-    be = MPoly.variable(field, 2, 1)
-    two = field.one + field.one
-    waw = (
-        al * al * MPoly.constant(field, 2, M[a][a])
-        + al * be * MPoly.constant(field, 2, two * M[a][b])
-        + be * be * MPoly.constant(field, 2, M[b][b])
-    )
-    pMw = al * MPoly.constant(field, 2, ua) + be * MPoly.constant(field, 2, ub)
-    X = []
-    for i in range(3):
-        comp = waw * MPoly.constant(field, 2, p[i])
-        if i == a:
-            comp = comp - pMw * al * MPoly.constant(field, 2, two)
-        elif i == b:
-            comp = comp - pMw * be * MPoly.constant(field, 2, two)
-        X.append(comp)
-    B = cubic.as_mpoly().substitute(X)
-
-    def param_point(alpha, beta):
-        w = [field.zero] * 3
-        w[a] = alpha
-        w[b] = beta
-        s1 = _bilinear(M, w, w)
-        s2 = _bilinear(M, p, w)
-        return [s1 * p[i] - two * s2 * w[i] for i in range(3)]
-
-    return B, param_point
-
-
 def _count_levels(facs, drop):
     """Distinct projective roots per extension level, from factor degrees."""
     n = {1: 0, 2: 0, 3: 0}
@@ -450,10 +413,7 @@ def probe_section(net: Net, f, g, cubic=None, sforms=None, seed: int = 0) -> Pro
     if rank(field, M) < 3:
         return ProbeTrial(None, None, True, "degenerate-conic")
     p = _conic_rational_point(field, M, Q)
-    B, param_point = _stereographic_sextic(field, cubic, M, p)
-    puni, drop = binary_form_to_poly(B, 0, 1)
-    if puni.is_zero():
-        raise InconsistencyError("the conic pullback of the cubic vanished")
+    (puni, drop), _, param_point = _stereographic_pullback(cubic, M, p)
     facs = factor(puni, seed=seed) if puni.degree >= 1 else []
     counts, rational = _count_levels(facs, drop)
     non_generic = False

@@ -590,12 +590,12 @@ def _resultant_route(field, H, rng, seed, want_witness, max_enum_points, origina
     if drop > 0:
         candidates.append((field.zero, field.one, ident))
     if field.order is None:
-        rr = roots(b)
-        for r, _ in rr.pairs:
+        pairs = roots(b).pairs if b.degree >= 1 else []
+        for r, _ in pairs:
             candidates.append((field.one, r, ident))
         rational_part = Poly(field, [1])
         x = Poly.x(field)
-        for r, m in rr.pairs:
+        for r, m in pairs:
             for _ in range(m):
                 rational_part = rational_part * (x - Poly(field, [r]))
         leftover = b.degree - rational_part.degree
@@ -619,7 +619,8 @@ def _resultant_route(field, H, rng, seed, want_witness, max_enum_points, origina
         return ZeroSearch(False, certificate="resultant")
 
     # finite field: every root of the eliminant, over its field of definition
-    for f, _ in factor(b, seed=seed):
+    # a constant eliminant leaves only the candidate at x = 0
+    for f, _ in factor(b, seed=seed) if b.degree >= 1 else []:
         if f.degree == 1:
             candidates.append((field.one, -f.c[0] / f.c[1], ident))
         else:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shlex
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -251,6 +252,17 @@ def test_precondition_errors(capsys):
     code, _, err = run_cli(capsys, "pfaffian", doc)
     assert code == 3
     assert "limited" in json.loads(err)["error"]["message"]
+
+
+def test_rational_results_over_the_int_string_limit_are_refused(capsys):
+    # the Pfaffian of fifteen 1500-digit pairs has about 4500 digits
+    pairs = [10**1499 + 7 * i for i in range(15)]
+    code, out, err = run_cli(capsys, "pfaffian", json.dumps({"field": "Q", "pairs": pairs}))
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "PreconditionError"
+    assert f"{sys.get_int_max_str_digits()} digits" in error["message"]
 
 
 def test_fraction_scalars_reduce_before_the_characteristic_check(capsys):

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewloci.cubic import (
+    DivisorClass,
     PlaneCubic,
     SectionPoint,
     add_points,
@@ -23,7 +26,7 @@ from skewloci.cubic import (
     two_torsion,
 )
 from skewloci.errors import PreconditionError
-from skewloci.fields import QQ, PrimeField
+from skewloci.fields import QQ, PrimeField, extend_field
 
 # l2^2 l3 - l1^3 + l1 l3^2 in wire order
 ANCHOR = [-1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
@@ -35,12 +38,14 @@ def _anchor(field):
 
 
 def test_product_of_lines_is_singular():
-    F = PrimeField(7)
-    C = PlaneCubic(F, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0])  # l1 l2 l3
-    rep = is_smooth(C)
-    assert not rep.smooth
-    # witness is a common zero of all partials: a coordinate vertex
-    assert sum(1 for x in rep.witness if x.is_zero()) == 2
+    # l1 l2 l3 over F7; over F3, three lines through (1:0:0), whose eliminant
+    # in the singular-point search is a nonzero constant
+    for F, coeffs in ((PrimeField(7), [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
+                      (PrimeField(3), [0, 0, 0, 0, 0, 0, 1, 2, 2, 0])):
+        rep = is_smooth(PlaneCubic(F, coeffs))
+        assert not rep.smooth
+        # witness is a common zero of all partials: a coordinate vertex
+        assert sum(1 for x in rep.witness if x.is_zero()) == 2
 
 
 def test_anchor_curve_smooth_over_f7():
@@ -177,6 +182,64 @@ def test_halvings_planted_and_coset_size():
         if not halvings(C, Q):
             empties += 1
     assert empties > 0
+
+
+def _scan_halvings(C, R):
+    return {P for P in C.rational_points() if add_points(C, P, P) == R}
+
+
+def _anchor_over_f49():
+    K, emb = extend_field(PrimeField(7), 2)
+    return PlaneCubic(K, [emb(PrimeField(7)(c)) for c in ANCHOR], base_point=FLEX)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _anchor(PrimeField(3)),
+    lambda: _anchor(PrimeField(5)),
+    lambda: _anchor(PrimeField(7)),
+    lambda: _anchor(PrimeField(13)),
+    _anchor_over_f49,
+], ids=["F3", "F5", "F7", "F13", "F7^2"])
+def test_halvings_match_the_point_scan(make):
+    C = make()
+    pts = C.rational_points()
+    rng = random.Random(2)
+    sample = rng.sample(pts, min(len(pts), 8))
+    targets = sample + [add_points(C, P, P) for P in sample]
+    for R in targets:
+        assert set(halvings(C, DivisorClass(C, 0, R))) == _scan_halvings(C, R)
+    assert {c.rep for c in two_torsion(C).classes} == _scan_halvings(C, C.base_point)
+
+
+def test_two_torsion_anchor_over_q():
+    C = PlaneCubic(QQ, ANCHOR, base_point=FLEX)
+    rep = two_torsion(C)
+    assert rep.full_rational
+    reps = {tuple(x.v for x in c.rep) for c in rep.classes}
+    assert reps == {(0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 0, -1)}
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.lists(st.integers(0, 12), min_size=9, max_size=9),
+    st.randoms(use_true_random=False),
+)
+def test_group_law_on_random_smooth_cubics(p, coeffs, rng):
+    # the l3^3 coefficient is 0, so (0:0:1) lies on the curve
+    F = PrimeField(p)
+    assume(any(c % p for c in coeffs))
+    C = PlaneCubic(F, coeffs + [0], base_point=(0, 0, 1))
+    assume(is_smooth(C).smooth)
+    pts = C.rational_points()
+    for _ in range(4):
+        P, Q, R = (rng.choice(pts) for _ in range(3))
+        assert add_points(C, add_points(C, P, Q), R) == add_points(C, P, add_points(C, Q, R))
+        target = class_of(C, [(P, 2), (C.base_point, -2)])
+        sols = halvings(C, target)
+        assert P in sols
+        assert all(add_points(C, h, h) == target.rep for h in sols)
+        assert set(sols) == _scan_halvings(C, target.rep)
 
 
 def test_polar_contact_at_flex_of_anchor():

@@ -129,6 +129,14 @@ def test_rational_roots_with_denominators():
     assert got == [Fraction(-5), Fraction(3, 2)]
 
 
+def test_rational_roots_refuse_unproven_large_cofactors():
+    # a * b = PRIME_BOUND passes Miller-Rabin on bases 2..37 but is composite
+    a, b = 399165290221, 798330580441
+    assert a * b == PRIME_BOUND
+    with pytest.raises(UnsupportedFieldError):
+        roots(Poly(QQ, [a * b, -(a + b), 1]))
+
+
 def test_allow_extension_over_q_is_an_error():
     f = Poly(QQ, [1, 0, 1])
     with pytest.raises(UnsupportedFieldError):

@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from skewloci.cubic import DivisorClass, class_eq, class_of, halvings, hyperplane_class
+from skewloci.cubic import (
+    DivisorClass,
+    add_points,
+    class_eq,
+    class_of,
+    halvings,
+    hyperplane_class,
+)
 from skewloci.errors import (
     DegenerateInputError,
     PreconditionError,
@@ -68,6 +75,15 @@ def _good_points(C, H):
         k for k in C.rational_points()
         if len(halvings(C, _halving_target(C, H, k))) == 4
     ]
+
+
+def test_halvings_on_the_companion_cubic_match_the_point_scan():
+    _, C, H, _ = _main()
+    pts = C.rational_points()
+    targets = [C.base_point] + [_halving_target(C, H, k).rep for k in pts[::3]]
+    for R in targets:
+        scan = {P for P in pts if add_points(C, P, P) == R}
+        assert set(halvings(C, DivisorClass(C, 0, R))) == scan
 
 
 def test_gamma_recovers_member_at_every_solvable_point():
