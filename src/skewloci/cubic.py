@@ -119,7 +119,11 @@ class PlaneCubic:
         return cls(P.field, coeffs, base_point=base_point)
 
     def anchored(self, base_point):
-        return PlaneCubic(self.field, self.coeffs, base_point=base_point)
+        """The same curve with another base point.  The point list and the
+        smoothness verdict do not depend on the base point and are shared."""
+        C = PlaneCubic(self.field, self.coeffs, base_point=base_point)
+        C._points, C._smooth = self._points, self._smooth
+        return C
 
     def map(self, emb: Embedding):
         bp = None
@@ -229,7 +233,7 @@ class SectionPoint:
         return mapped == self.point
 
     def __repr__(self):
-        vals = ":".join(self.field.format(x) for x in self.point)
+        vals = ":".join(self.field.format(x.v) for x in self.point)
         return f"SectionPoint(({vals}) x{self.multiplicity})"
 
 
@@ -377,7 +381,7 @@ class DivisorClass:
         return self.degree == 0 and self.rep == self.curve.base_point
 
     def __repr__(self):
-        vals = ":".join(self.curve.field.format(x) for x in self.rep)
+        vals = ":".join(self.curve.field.format(x.v) for x in self.rep)
         return f"DivisorClass(deg {self.degree}, ({vals}))"
 
 

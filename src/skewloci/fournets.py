@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .complexes import LinearComplex, second_type_complex, special_fiber
+from .complexes import LinearComplex, special_fiber
 from .cubic import (
     DivisorClass,
     PlaneCubic,
@@ -105,7 +105,7 @@ def _element_in_prime_part(x):
     return None
 
 
-def gamma_k(net: Net, F: DivisorClass, k, planes=None, cubic=None,
+def gamma_k(net: Net, F: DivisorClass, k, planes=None,
             seed: int = 0, allow_escalation: bool = True) -> GammaReport:
     """Solve for the complex at k determined by a degree-3 class F.
 
@@ -121,9 +121,7 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None, cubic=None,
     C = F.curve
     if C.base_point is None:
         raise PreconditionError("the class needs an anchored curve")
-    if cubic is None:
-        cubic = net_pfaffian_cubic(net)
-    if list(C.coeffs) != list(cubic.coeffs):
+    if C.coeffs != net_pfaffian_cubic(net).coeffs:
         raise PreconditionError("the divisor class lives on a different cubic")
     k = tuple(x if hasattr(x, "field") else field(x) for x in k)
     if not C.contains(list(k)):
@@ -255,10 +253,10 @@ class FourNetsReport:
         )
 
 
-def _scroll_sample(net, cubic, count):
+def _scroll_sample(net, count):
     """Rational scroll points collected fiber by fiber."""
     out = []
-    for lam in cubic.rational_points():
+    for lam in net_pfaffian_cubic(net).rational_points():
         for pt in subspace_points(scroll_fiber(net, list(lam))):
             out.append(pt)
             if len(out) >= count:
@@ -305,7 +303,7 @@ def companion_nets(net: Net, samples_per_class: int = 6, cross_samples: int = 50
             if len(gammas) >= samples_per_class:
                 break
             try:
-                g = gamma_k(net, F_T, k, planes=planes, cubic=C, seed=seed,
+                g = gamma_k(net, F_T, k, planes=planes, seed=seed,
                             allow_escalation=False)
             except UnsupportedFieldError:
                 escalations.append((tuple(T.rep), tuple(k), "irrational-doubles"))
@@ -335,11 +333,10 @@ def companion_nets(net: Net, samples_per_class: int = 6, cross_samples: int = 50
     pairwise_distinct = all(
         a != b for (_, a), (_, b) in itertools.combinations(branch_spans, 2)
     )
-    own_points = _scroll_sample(net, cubic0, cross_samples)
+    own_points = _scroll_sample(net, cross_samples)
     cross = []
     for comp in companions:
-        comp_cubic = net_pfaffian_cubic(comp)
-        comp_points = _scroll_sample(comp, comp_cubic, cross_samples)
+        comp_points = _scroll_sample(comp, cross_samples)
         fwd = all(x_membership(comp, pt) for pt in own_points)
         bwd = all(x_membership(net, pt) for pt in comp_points)
         cross.append(CrossCheck(len(own_points), len(comp_points), fwd, bwd))

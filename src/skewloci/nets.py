@@ -101,10 +101,15 @@ class GenericMorphism:
         return f"GenericMorphism(n={self.n}, m={self.m})"
 
 
-class Net:
-    """Three independent complexes spanning a plane in the dual 14-space."""
+class Net(GenericMorphism):
+    """Three independent complexes spanning a plane in the dual 14-space.
 
-    __slots__ = ("field", "generators")
+    The net is the morphism O^3 -> Omega(2) of its generators' normalized
+    matrices.  Its Pfaffian cubic and kernel forms are computed on first use
+    and kept (see net_pfaffian_cubic and sub_pfaffian_forms).
+    """
+
+    __slots__ = ("generators", "_cubic", "_sforms")
 
     def __init__(self, field, g1, g2, g3):
         gens = []
@@ -114,26 +119,15 @@ class Net:
             if g.field != field:
                 raise PreconditionError("net generators must share the base field")
             gens.append(g)
-        flat = [list(g.coeffs()) for g in gens]
-        if rank(field, flat) != 3:
-            raise PreconditionError("net generators are linearly dependent")
-        self.field = field
+        super().__init__(field, [g.matrix for g in gens])
         self.generators = tuple(gens)
+        self._cubic = None
+        self._sforms = None
 
     @classmethod
     def from_pair_vectors(cls, field, triples):
         gens = [LinearComplex.from_pairs(field, t) for t in triples]
         return cls(field, *gens)
-
-    @property
-    def matrices(self):
-        return [g.matrix for g in self.generators]
-
-    def morphism(self) -> GenericMorphism:
-        return GenericMorphism(self.field, self.matrices)
-
-    def combination(self, lam):
-        return self.morphism().combination(lam)
 
     def member(self, lam) -> LinearComplex:
         return LinearComplex(self.field, self.combination(lam))
@@ -145,17 +139,12 @@ class Net:
         return f"Net(over {self.field.short()})"
 
 
-def _as_morphism(phi):
-    return phi.morphism() if isinstance(phi, Net) else phi
-
-
 def x_membership(phi, P) -> bool:
     """Whether some combination of the matrices kills the point.
 
     Equivalent to the stacked column matrix [A_1 P | ... | A_m P] having rank
     at most m - 1.
     """
-    phi = _as_morphism(phi)
     field = phi.field
     pt = [x if hasattr(x, "field") else field(x) for x in P]
     if len(pt) != phi.n + 1:
@@ -169,7 +158,6 @@ def x_membership(phi, P) -> bool:
 
 def scroll_fiber(phi, lam) -> Subspace:
     """The projective kernel of the combination at lam."""
-    phi = _as_morphism(phi)
     field = phi.field
     M = phi.combination(lam)
     kern = kernel(field, M)
@@ -183,7 +171,9 @@ def scroll_fiber(phi, lam) -> Subspace:
     return Subspace(field, phi.n + 1, kern)
 
 
-def _linear_entries(net: Net):
+def _pfaffian_args(net: Net):
+    """The combination matrix with linear-form entries in lam, with the
+    zero and one it is reduced over."""
     field = net.field
     size = 6
     zero = MPoly.zero(field, 3)
@@ -195,28 +185,42 @@ def _linear_entries(net: Net):
                     continue
                 exps = tuple(1 if t == k else 0 for t in range(3))
                 entries[i][j] = entries[i][j] + MPoly(field, 3, {exps: M[i][j]})
-    return entries
+    return entries, zero, MPoly.constant(field, 3, field.one)
 
 
-def net_pfaffian_cubic(net: Net, base_point=None) -> PlaneCubic:
-    """The ternary cubic equal to the Pfaffian of the net's combinations."""
-    field = net.field
-    entries = _linear_entries(net)
-    zero = MPoly.zero(field, 3)
-    one = MPoly.constant(field, 3, field.one)
-    P = pfaffian(entries, zero, one)
-    if P.is_zero():
-        raise DegenerateInputError("the net's Pfaffian vanishes identically")
-    return PlaneCubic.from_mpoly(P, base_point=base_point)
+def net_pfaffian_cubic(net: Net) -> PlaneCubic:
+    """The ternary cubic equal to the Pfaffian of the net's combinations.
+
+    Built once per net; the same object (with its cached points) is returned
+    on every later call.
+    """
+    if net._cubic is None:
+        P = pfaffian(*_pfaffian_args(net))
+        if P.is_zero():
+            raise DegenerateInputError("the net's Pfaffian vanishes identically")
+        net._cubic = PlaneCubic.from_mpoly(P)
+    return net._cubic
 
 
 def sub_pfaffian_forms(net: Net):
-    """The 15 quadratic forms in lam giving the kernel direction of a combination."""
+    """The 15 quadratic forms in lam giving the kernel direction of a combination.
+
+    Built once per net and returned as a tuple.
+    """
+    if net._sforms is None:
+        net._sforms = tuple(sub_pfaffians_6(*_pfaffian_args(net)))
+    return net._sforms
+
+
+def rational_fibers(net: Net):
+    """Yield (lam, line) for each rational point lam of the Pfaffian cubic
+    whose combination has rank 4, in rational_points order; line is the
+    combination's kernel, the scroll's fiber over lam."""
     field = net.field
-    entries = _linear_entries(net)
-    zero = MPoly.zero(field, 3)
-    one = MPoly.constant(field, 3, field.one)
-    return sub_pfaffians_6(entries, zero, one)
+    for lam in net_pfaffian_cubic(net).rational_points():
+        kern = kernel(field, net.combination(lam))
+        if len(kern) == 2:
+            yield lam, Subspace(field, 6, kern)
 
 
 def _proj_reps_array(q: int, n: int):
@@ -293,14 +297,10 @@ def count_scroll_points(net: Net) -> ScrollCountReport:
         )
         ok &= det % q == 0
     x_count = int(ok.sum())
-    cubic = net_pfaffian_cubic(net)
-    cpts = cubic.rational_points()
-    c_count = len(cpts)
-    ranks = [rank(field, net.combination(pt)) for pt in cpts]
-    ranks_all_four = all(r == 4 for r in ranks)
-    fibers = [
-        scroll_fiber(net, pt) for pt, r in zip(cpts, ranks) if r == 4
-    ]
+    c_count = len(net_pfaffian_cubic(net).rational_points())
+    fibers = [line for _, line in rational_fibers(net)]
+    # on the cubic the rank is at most 4, and exactly 4 iff the kernel is a line
+    ranks_all_four = len(fibers) == c_count
     fibers_disjoint = all(
         meet(a, b).dim == 0 for a, b in itertools.combinations(fibers, 2)
     )
@@ -382,7 +382,7 @@ def _count_levels(facs, drop):
     return counts, rational
 
 
-def probe_section(net: Net, f, g, cubic=None, sforms=None, seed: int = 0) -> ProbeTrial:
+def probe_section(net: Net, f, g, seed: int = 0) -> ProbeTrial:
     """Count scroll points on the 3-space {f = g = 0} over F_q, F_{q^2}, F_{q^3}.
 
     The 3-space meets a fiber exactly when the incidence quadric built from
@@ -392,10 +392,6 @@ def probe_section(net: Net, f, g, cubic=None, sforms=None, seed: int = 0) -> Pro
     at every level at once.
     """
     field = net.field
-    if cubic is None:
-        cubic = net_pfaffian_cubic(net)
-    if sforms is None:
-        sforms = sub_pfaffian_forms(net)
     q = field.order
     f = [x if hasattr(x, "field") else field(x) for x in f]
     g = [x if hasattr(x, "field") else field(x) for x in g]
@@ -403,7 +399,7 @@ def probe_section(net: Net, f, g, cubic=None, sforms=None, seed: int = 0) -> Pro
         raise PreconditionError("the section needs two independent linear forms")
     wdual = [f[i] * g[j] - f[j] * g[i] for i, j in PAIRS]
     Q = MPoly.zero(field, 3)
-    for w, s in zip(wdual, sforms):
+    for w, s in zip(wdual, sub_pfaffian_forms(net)):
         if not w.is_zero():
             Q = Q + s * MPoly.constant(field, 3, w)
     if Q.is_zero():
@@ -413,7 +409,7 @@ def probe_section(net: Net, f, g, cubic=None, sforms=None, seed: int = 0) -> Pro
     if rank(field, M) < 3:
         return ProbeTrial(None, None, True, "degenerate-conic")
     p = _conic_rational_point(field, M, Q)
-    (puni, drop), _, param_point = _stereographic_pullback(cubic, M, p)
+    (puni, drop), _, param_point = _stereographic_pullback(net_pfaffian_cubic(net), M, p)
     facs = factor(puni, seed=seed) if puni.degree >= 1 else []
     counts, rational = _count_levels(facs, drop)
     non_generic = False
@@ -454,10 +450,8 @@ def degree_probe(net: Net, trials: int = 20, seed: int = 0) -> DegreeProbeReport
     field = net.field
     if field.order is None:
         raise UnsupportedFieldError("the probe counts points over finite fields")
-    cubic = net_pfaffian_cubic(net)
-    if not cubic.smoothness(seed=seed).smooth:
+    if not net_pfaffian_cubic(net).smoothness(seed=seed).smooth:
         raise PreconditionError("the probe needs a smooth Pfaffian cubic")
-    sforms = sub_pfaffian_forms(net)
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
@@ -466,7 +460,7 @@ def degree_probe(net: Net, trials: int = 20, seed: int = 0) -> DegreeProbeReport
             g = [field.random(rng) for _ in range(6)]
             if rank(field, [f, g]) == 2:
                 break
-        out.append(probe_section(net, f, g, cubic=cubic, sforms=sforms, seed=seed))
+        out.append(probe_section(net, f, g, seed=seed))
     generic = [t.best for t in out if not t.non_generic and t.best is not None]
     max_generic = max(generic) if generic else None
     return DegreeProbeReport(out, max_generic, max_generic == 6)
@@ -487,15 +481,10 @@ class DirectrixReport:
         return f"DirectrixReport({len(self.planes)} planes)"
 
 
-def _fiber_triple(net: Net, cubic: PlaneCubic):
+def _fiber_triple(net: Net):
     """Three pairwise-disjoint rational line fibers."""
-    field = net.field
     picked = []
-    for pt in cubic.rational_points():
-        kern = kernel(field, net.combination(pt))
-        if len(kern) != 2:
-            continue
-        fib = Subspace(field, 6, kern)
+    for _, fib in rational_fibers(net):
         if all(meet(fib, other).dim == 0 for other in picked):
             picked.append(fib)
         if len(picked) == 3:
@@ -563,8 +552,7 @@ def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
     field = net.field
     if field.order is None:
         raise UnsupportedFieldError("the plane search enumerates a finite field")
-    cubic = net_pfaffian_cubic(net)
-    f1, f2, f3 = _fiber_triple(net, cubic)
+    f1, f2, f3 = _fiber_triple(net)
     mats = net.matrices
     rng = random.Random(seed)
     planes = []
@@ -695,18 +683,8 @@ def restricted_fiber_dim(
         for c in sols
     ]
     dim = len(restricted) - 1
-    cubic = net_pfaffian_cubic(net)
-    sampled = []
-    for pt in cubic.rational_points():
-        if len(sampled) >= samples:
-            break
-        kern = kernel(field, net.combination(pt))
-        if len(kern) != 2:
-            continue
-        fib = Subspace(field, 6, kern)
-        if fib == k:
-            continue
-        sampled.append(pluecker_of_line(fib))
+    others = (line for _, line in rational_fibers(net) if line != k)
+    sampled = [pluecker_of_line(line) for line in itertools.islice(others, samples)]
     contains_all = False
     if restricted and sampled:
         P = [
@@ -812,7 +790,6 @@ def type2_singular_locus_check(
     if three.proj_dim != 3:
         raise InconsistencyError("rank-2 complex with singular space not a 3-space")
     rng = random.Random(seed)
-    morph = net.morphism()
     if field.char <= EXHAUSTIVE_PRIME_CAP and field.degree == 1:
         pts = list(subspace_points(three))
     else:
@@ -824,15 +801,8 @@ def type2_singular_locus_check(
                 vec = [x + c * y for x, y in zip(vec, row)]
             if any(not x.is_zero() for x in vec):
                 pts.append(vec)
-    all_member = all(x_membership(morph, pt) for pt in pts)
-    cubic = net_pfaffian_cubic(net)
-    fibers = []
-    for pt in cubic.rational_points():
-        kern = kernel(field, net.combination(pt))
-        if len(kern) == 2:
-            fibers.append(Subspace(field, 6, kern))
-        if len(fibers) >= 60:
-            break
+    all_member = all(x_membership(net, pt) for pt in pts)
+    fibers = [line for _, line in itertools.islice(rational_fibers(net), 60)]
     off_failures = 0
     off_checked = 0
     while off_checked < off_samples:
@@ -845,6 +815,6 @@ def type2_singular_locus_check(
         if any(meet(f, pt_space).dim == 1 for f in fibers):
             continue
         off_checked += 1
-        if not x_membership(morph, vec):
+        if not x_membership(net, vec):
             off_failures += 1
     return Type2LocusReport(three, len(pts), all_member, off_checked, off_failures)

@@ -47,6 +47,7 @@ from .nets import (
     degree_probe,
     directrix_planes,
     net_pfaffian_cubic,
+    rational_fibers,
     restricted_fiber_dim,
     scroll_fiber,
     type2_singular_locus_check,
@@ -600,12 +601,8 @@ def criterion_12() -> CriterionResult:
     }
     if len(seen) != 400:
         fails.append(f"3-space has {len(seen)} points")
-    cubic = net_pfaffian_cubic(net)
-    for lam in cubic.rational_points():
-        kern = kernel(F, net.combination(lam))
-        if len(kern) != 2:
-            continue
-        for p in subspace_points(Subspace(F, 6, kern)):
+    for _, line in rational_fibers(net):
+        for p in subspace_points(line):
             seen.add(tuple(x.v for x in normalize_projective(list(p))))
     scan = count_scroll_points(net)
     if len(seen) != scan.x_count:

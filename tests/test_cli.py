@@ -404,3 +404,49 @@ def test_fuzzed_scalar_inputs_exit_with_a_documented_code(argv):
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 0:
         check_report(out.getvalue())
+
+
+@st.composite
+def _fuzz_generators(draw):
+    field = draw(st.sampled_from(("F3", "F5", "F7")))
+    p = int(field[1:])
+    command, count = draw(st.sampled_from(
+        ((["pencil", "analyze"], 2), (["net", "analyze"], 3))))
+    ints = st.integers(-(10**6), 10**6)
+    scalar = st.one_of(
+        ints,
+        st.builds(lambda a, k: f"{a}/{k * p}", ints, st.integers(1, 5)),
+        st.builds(lambda a, b: f"{a}/{b}", ints, st.integers(1, 50)),
+    )
+    non_scalar = st.sampled_from(([1, 2], [], None, "x", 1.5, True))
+    gens = []
+    for _ in range(count + draw(st.sampled_from((0,) * 8 + (-1, 1)))):
+        shape = draw(st.sampled_from(
+            ("ints",) * 6 + ("fractions",) * 2 + ("non-scalar", "zero", "short")))
+        if shape == "zero":
+            gens.append([0] * 15)
+        elif shape == "short":
+            gens.append(draw(st.lists(ints, max_size=16).filter(lambda g: len(g) != 15)))
+        else:
+            g = draw(st.lists(ints if shape == "ints" else scalar, min_size=15, max_size=15))
+            if shape == "non-scalar":
+                g[draw(st.integers(0, 14))] = draw(non_scalar)
+            gens.append(g)
+    if len(gens) >= 2 and draw(st.integers(0, 3)) == 0:
+        # the last generator becomes a multiple of one generator or a sum of two
+        i, j = draw(st.integers(0, len(gens) - 2)), draw(st.integers(0, len(gens) - 2))
+        if all(isinstance(x, int) for x in gens[i] + gens[j]) and len(gens[i]) == len(gens[j]):
+            c = draw(st.integers(1, p - 1))
+            gens[-1] = [c * x + (y if i != j else 0) for x, y in zip(gens[i], gens[j])]
+    return command + [json.dumps({"field": field, "generators": gens}), "--trials", "0"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_fuzz_generators())
+def test_fuzzed_generator_inputs_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code == 0:
+        check_report(out.getvalue())

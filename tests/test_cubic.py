@@ -26,7 +26,7 @@ from skewloci.cubic import (
     two_torsion,
 )
 from skewloci.errors import PreconditionError
-from skewloci.fields import QQ, PrimeField, extend_field
+from skewloci.fields import QQ, PrimeField, extend_field, identity_embedding
 
 # l2^2 l3 - l1^3 + l1 l3^2 in wire order
 ANCHOR = [-1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
@@ -327,3 +327,20 @@ def test_base_point_must_lie_on_curve():
     F = PrimeField(7)
     with pytest.raises(PreconditionError):
         PlaneCubic(F, ANCHOR, base_point=(1, 1, 1))
+
+
+def test_section_point_and_class_reprs_print_raw_values():
+    F = PrimeField(7)
+    K, emb = extend_field(F, 2)
+    ext_point = SectionPoint((K(1), K([0, 2]), K([5, 0])), 1, K, emb)
+    assert repr(ext_point) == "SectionPoint(((1,0):(0,2):(5,0)) x1)"
+    base_point = SectionPoint((F(1), F(3), F(0)), 2, F, identity_embedding(F))
+    assert repr(base_point) == "SectionPoint((1:3:0) x2)"
+    C = _anchor(F)
+    assert repr(hyperplane_class(C)) == "DivisorClass(deg 3, (0:1:0))"
+    assert repr(hyperplane_class(C.map(emb))) == "DivisorClass(deg 3, ((0,0):(1,0):(0,0)))"
+    pc = polar_contact(C, [1, 0, 6])
+    entries = pc.divisor + pc.residual
+    assert any(e.field != F for e in entries)
+    for e in entries:
+        assert "F7" not in repr(e)

@@ -326,3 +326,47 @@ def _field_elements(draw):
 def test_wire_roundtrip_property(x):
     assert from_wire(x.field, to_wire(x)) == x
     assert from_wire(x.field, json.loads(json.dumps(to_wire(x)))) == x
+
+
+_AXIOM_FIELDS = (
+    PrimeField(7), PrimeField(2**61 - 1), extend_field(PrimeField(5), 2)[0],
+    extend_field(PrimeField(3), 3)[0], QQ,
+)
+
+
+def _draw_element(draw, field):
+    ints = st.integers(-(10**12), 10**12)
+    if field is QQ:
+        return field(Fraction(draw(ints), draw(st.integers(1, 10**12))))
+    if field.degree == 1:
+        return field(draw(ints))
+    return field(draw(st.lists(ints, min_size=field.degree, max_size=field.degree)))
+
+
+@st.composite
+def _axiom_case(draw):
+    i = draw(st.integers(0, len(_AXIOM_FIELDS) - 1))
+    field = _AXIOM_FIELDS[i]
+    other = _AXIOM_FIELDS[(i + draw(st.integers(1, len(_AXIOM_FIELDS) - 1))) % len(_AXIOM_FIELDS)]
+    x, y, z = (_draw_element(draw, field) for _ in range(3))
+    return x, y, z, _draw_element(draw, other)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_axiom_case())
+def test_field_axioms_property(case):
+    x, y, z, foreign = case
+    F = x.field
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x - x == F.zero
+    if not x.is_zero():
+        assert x * x.inverse() == F.one
+        if F.order is not None:
+            assert x ** (F.order - 1) == F.one
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(PreconditionError):
+            op(x, foreign)

@@ -91,7 +91,7 @@ def test_gamma_recovers_member_at_every_solvable_point():
     goods = _good_points(C, H)
     assert len(goods) == 6
     for k in goods:
-        g = gamma_k(net, H, k, planes=planes, cubic=C, seed=0)
+        g = gamma_k(net, H, k, planes=planes, seed=0)
         assert not g.escalated
         assert len(g.halving_points) == 4
         assert g.pencil_dim == 3
@@ -102,7 +102,7 @@ def test_gamma_recovers_member_at_every_solvable_point():
 def test_gamma_halving_points_double_to_residual_class():
     net, C, H, planes = _main()
     k = _good_points(C, H)[0]
-    g = gamma_k(net, H, k, planes=planes, cubic=C, seed=0)
+    g = gamma_k(net, H, k, planes=planes, seed=0)
     for z in g.halving_points:
         assert C.contains(list(z))
         assert class_eq(class_of(C, [(z, 2), (tuple(k), 1)]), H)
@@ -167,7 +167,7 @@ def test_gamma_escalates_and_descends():
     H = hyperplane_class(C)
     k = (F(1), F(1), F(4))
     assert len(halvings(C, _halving_target(C, H, k))) == 0
-    g = gamma_k(net, H, k, cubic=C, seed=0)
+    g = gamma_k(net, H, k, seed=0)
     assert g.escalated
     assert g.field.degree == 1
     assert g.embedding is not None
@@ -184,7 +184,7 @@ def test_gamma_escalation_can_fail_twice():
     H = hyperplane_class(C)
     k = (F(1), F(0), F(3))
     with pytest.raises(UnsupportedFieldError, match="escalation"):
-        gamma_k(net, H, k, cubic=C, seed=0)
+        gamma_k(net, H, k, seed=0)
 
 
 def test_gamma_without_escalation_reports_irrational_doubles():
@@ -194,7 +194,7 @@ def test_gamma_without_escalation_reports_irrational_doubles():
         if len(halvings(C, _halving_target(C, H, k))) == 0
     )
     with pytest.raises(UnsupportedFieldError, match="not rational"):
-        gamma_k(net, H, k, planes=planes, cubic=C, allow_escalation=False)
+        gamma_k(net, H, k, planes=planes, allow_escalation=False)
 
 
 def test_gamma_rejects_wrong_degree_class():
@@ -202,7 +202,7 @@ def test_gamma_rejects_wrong_degree_class():
     k = _good_points(C, H)[0]
     D2 = class_of(C, [(C.base_point, 2)])
     with pytest.raises(PreconditionError, match="degree 3"):
-        gamma_k(net, D2, k, planes=planes, cubic=C)
+        gamma_k(net, D2, k, planes=planes)
 
 
 def test_gamma_rejects_unanchored_curve():
@@ -210,7 +210,7 @@ def test_gamma_rejects_unanchored_curve():
     C0 = net_pfaffian_cubic(net)
     F3 = DivisorClass(C0, 3, C.base_point)
     with pytest.raises(PreconditionError, match="anchored"):
-        gamma_k(net, F3, C.base_point, planes=planes, cubic=C0)
+        gamma_k(net, F3, C.base_point, planes=planes)
 
 
 def test_gamma_rejects_class_on_foreign_cubic():
@@ -219,7 +219,7 @@ def test_gamma_rejects_class_on_foreign_cubic():
     D0 = net_pfaffian_cubic(other)
     D = D0.anchored(D0.rational_points()[0])
     with pytest.raises(PreconditionError, match="different cubic"):
-        gamma_k(net, hyperplane_class(D), D.base_point, planes=planes, cubic=C)
+        gamma_k(net, hyperplane_class(D), D.base_point, planes=planes)
 
 
 def test_gamma_rejects_point_off_the_cubic():
@@ -230,7 +230,7 @@ def test_gamma_rejects_point_off_the_cubic():
         if not C.contains(list(p))
     )
     with pytest.raises(PreconditionError, match="not on"):
-        gamma_k(net, H, off, planes=planes, cubic=C)
+        gamma_k(net, H, off, planes=planes)
 
 
 def test_gamma_rejects_low_rank_point():
@@ -241,14 +241,14 @@ def test_gamma_rejects_low_rank_point():
     C = C0.anchored(O)
     F3 = DivisorClass(C, 3, O)
     with pytest.raises(PreconditionError, match="rank-4"):
-        gamma_k(net, F3, O, cubic=C)
+        gamma_k(net, F3, O)
 
 
 def test_gamma_rejects_single_plane():
     net, C, H, planes = _main()
     k = _good_points(C, H)[0]
     with pytest.raises(DegenerateInputError, match="unisecant"):
-        gamma_k(net, H, k, planes=[planes[0]], cubic=C)
+        gamma_k(net, H, k, planes=[planes[0]])
 
 
 def test_companion_rejects_nongeneral_net():

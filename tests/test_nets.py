@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from skewloci import cubic as cubic_module
+from skewloci import selftest
 from skewloci.errors import (
     DegenerateInputError,
     PreconditionError,
@@ -18,6 +20,7 @@ from skewloci.nets import (
     net_pfaffian_cubic,
     net_type,
     probe_section,
+    rational_fibers,
     restricted_fiber_dim,
     scroll_fiber,
     sub_pfaffian_forms,
@@ -431,3 +434,48 @@ def test_fiber_points_are_members():
         fib = scroll_fiber(net, lam)
         for pt in subspace_points(fib):
             assert x_membership(net, pt)
+
+
+def test_net_derived_geometry_is_built_once(monkeypatch):
+    # the cubic, its points and the kernel forms belong to the net: one
+    # enumeration of P^2(F_101) serves the plane search, two restricted
+    # fibers and an anchored copy of the cubic
+    q, seed = selftest.DIRECTRIX_NETS[0]
+    net = selftest.seeded_net(PrimeField(q), seed)
+    assert net_pfaffian_cubic(net) is net_pfaffian_cubic(net)
+    assert isinstance(sub_pfaffian_forms(net), tuple)
+    assert sub_pfaffian_forms(net) is sub_pfaffian_forms(net)
+    scans = []
+    real = cubic_module.projective_reps
+
+    def counted(field, n):
+        scans.append(n)
+        return real(field, n)
+
+    monkeypatch.setattr(cubic_module, "projective_reps", counted)
+    rep = directrix_planes(net, seed=0)
+    for k in rep.fibers[:2]:
+        assert restricted_fiber_dim(net, k, rep.planes, seed=0).dim == 3
+    C = net_pfaffian_cubic(net)
+    anchored = C.anchored(C.rational_points()[0])
+    assert anchored.rational_points() == C.rational_points()
+    assert scans == [3]
+
+
+@pytest.mark.parametrize("triples", [None, TYPE2_TRIPLES], ids=["general", "type2"])
+def test_rational_fibers_match_the_kernel_loop(triples):
+    F = PrimeField(11)
+    net = _random_net(F, 0) if triples is None else Net.from_pair_vectors(F, triples)
+    expect = []
+    for lam in net_pfaffian_cubic(net).rational_points():
+        kern = kernel(F, net.combination(lam))
+        if len(kern) == 2:
+            expect.append((lam, Subspace(F, 6, kern)))
+    got = list(rational_fibers(net))
+    assert got == expect
+    npts = len(net_pfaffian_cubic(net).rational_points())
+    if triples is None:
+        assert len(got) == npts
+    else:
+        # the rank-2 generator's point (1:0:0) has no line
+        assert len(got) < npts
