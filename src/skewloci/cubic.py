@@ -29,7 +29,7 @@ from .fields import (
 )
 from .linalg import kernel, rank
 from .polys import MPoly, binary_form_to_poly, common_projective_zero
-from .projective import normalize_projective, projective_reps
+from .projective import normalize_projective
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -135,11 +135,7 @@ class PlaneCubic:
         if self.field.order is None:
             raise UnsupportedFieldError("point enumeration needs a finite field")
         if self._points is None:
-            pts = []
-            for rep in projective_reps(self.field, 3):
-                if self.evaluate(rep).is_zero():
-                    pts.append(tuple(rep))
-            self._points = pts
+            self._points = _points_by_lines(self)
         return list(self._points)
 
     def smoothness(self, seed=0):
@@ -184,19 +180,57 @@ class SmoothnessReport:
         return f"SmoothnessReport({'smooth' if self.smooth else 'singular'})"
 
 
+def _line_roots(field, coeffs):
+    """The base-field zeros of the polynomial with these coefficients, in
+    elements() order: all of the field when it vanishes, none when it is a
+    nonzero constant."""
+    f = Poly(field, coeffs)
+    if f.is_zero():
+        return list(field.elements())
+    if f.degree == 0:
+        return []
+    return [r for r, _ in roots(f).pairs]
+
+
+def _points_by_lines(C: PlaneCubic):
+    """The rational points of C in projective_reps order, line by line.
+
+    The roots in z of C(1, a, z) for each a, in elements() order, give the
+    points (1:a:z); the roots of C(0, 1, z) give (0:1:z); (0:0:1) lies on C
+    exactly when the l3^3 coefficient vanishes.  roots() sorts by sort_key,
+    which is elements() order.
+    """
+    field = C.field
+    zero, one = field.zero, field.one
+    c300, c210, c201, c120, c111, c102, c030, c021, c012, c003 = C.coeffs
+    pts = []
+    for a in field.elements():
+        zs = _line_roots(field, [
+            c300 + (c210 + (c120 + c030 * a) * a) * a,
+            c201 + (c111 + c021 * a) * a,
+            c102 + c012 * a,
+            c003,
+        ])
+        pts.extend((one, a, z) for z in zs)
+    pts.extend((zero, one, z) for z in _line_roots(field, [c030, c021, c012, c003]))
+    if c003.is_zero():
+        pts.append((zero, zero, one))
+    return pts
+
+
 def _smoothness_search(C: PlaneCubic, seed: int) -> SmoothnessReport:
     forms = [p for p in C.partials() if not p.is_zero()]
     if not forms:
         # only possible in characteristic 3, where the form is a cube of a
         # linear form and every curve point is singular
-        for rep in projective_reps(C.field, 3):
-            if C.evaluate(rep).is_zero():
-                return SmoothnessReport(
-                    False, witness=tuple(rep), field=C.field,
-                    embedding=identity_embedding(C.field),
-                    certificate="vanishing-gradient",
-                )
-        raise InconsistencyError("cubic with zero gradient has no visible point")
+        pts = C.rational_points()
+        if not pts:
+            raise InconsistencyError("cubic with zero gradient has no visible point")
+        return SmoothnessReport(
+            False, witness=pts[0], field=C.field,
+            embedding=identity_embedding(C.field),
+            certificate="vanishing-gradient",
+        )
     if C.field.char == 3:
         # the Euler identity degenerates, so membership in the curve must be
         # imposed explicitly alongside the critical equations

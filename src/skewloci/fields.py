@@ -13,6 +13,7 @@ extension by extend_field.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -63,7 +64,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise PreconditionError(
                     "field mismatch: %r vs %r (use an explicit embedding)"
                     % (self.field, other.field)
@@ -142,7 +143,10 @@ class FieldElement:
             return self.v == self.field(other).v
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.v == other.v
+        return (
+            (self.field is other.field or self.field == other.field)
+            and self.v == other.v
+        )
 
     def __hash__(self):
         return hash((self.field, self.v))
@@ -152,22 +156,19 @@ class FieldElement:
 
 
 class Field:
-    """Interface shared by the rationals and the finite fields below."""
+    """Interface shared by the rationals and the finite fields below.
+
+    zero and one are built once per field and shared by every caller.
+    """
 
     char: int
     degree: int
     order: int | None
+    zero: FieldElement
+    one: FieldElement
 
     def __call__(self, value) -> FieldElement:
         raise NotImplementedError
-
-    @property
-    def zero(self) -> FieldElement:
-        return self(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self(1)
 
     def elements(self):
         raise UnsupportedFieldError("cannot enumerate an infinite field")
@@ -209,9 +210,13 @@ class Rationals(Field):
     degree = 1
     order = None
 
+    def __init__(self):
+        self.zero = FieldElement(self, Fraction(0))
+        self.one = FieldElement(self, Fraction(1))
+
     def __call__(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise PreconditionError("cannot coerce %r into Q" % (value,))
             return value
         return FieldElement(self, Fraction(value))
@@ -256,22 +261,38 @@ QQ = Rationals()
 
 
 class PrimeField(Field):
-    """F_p for an odd prime p.  Elements are ints in [0, p)."""
+    """F_p for an odd prime p.  Elements are ints in [0, p).
 
-    def __init__(self, p: int):
+    Prime fields are interned: PrimeField(p) is PrimeField(p).
+    """
+
+    _interned: dict[int, PrimeField] = {}
+
+    def __new__(cls, p: int):
+        p = operator.index(p)  # 7.0 must not intern a field of float residues
+        F = cls._interned.get(p)
+        if F is not None:
+            return F
         if p >= PRIME_BOUND:
             raise PreconditionError(f"prime fields are limited to p < {PRIME_BOUND}")
         if not _is_probable_prime(p):
             raise PreconditionError(f"{p} is not prime")
         if p == 2:
             raise UnsupportedFieldError("characteristic 2 is not supported")
-        self.char = p
-        self.degree = 1
-        self.order = p
+        F = super().__new__(cls)
+        F.char = p
+        F.degree = 1
+        F.order = p
+        F.zero = FieldElement(F, 0)
+        F.one = FieldElement(F, 1)
+        return cls._interned.setdefault(p, F)
+
+    def __getnewargs__(self):
+        return (self.char,)
 
     def __call__(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise PreconditionError(
                     "cannot coerce %r into F_%d" % (value, self.char)
                 )
@@ -313,7 +334,7 @@ class PrimeField(Field):
         return v
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.char == self.char
+        return self is other or (isinstance(other, PrimeField) and other.char == self.char)
 
     def __hash__(self):
         return hash(("Fp", self.char))
@@ -338,6 +359,8 @@ class ExtField(Field):
         self.modulus = mod
         self.degree = len(mod) - 1
         self.order = p ** self.degree
+        self.zero = FieldElement(self, (0,) * self.degree)
+        self.one = FieldElement(self, (1,) + (0,) * (self.degree - 1))
         # x^e mod m for e in [k, 2k-2], used during multiplication
         k = self.degree
         red = []
@@ -354,7 +377,7 @@ class ExtField(Field):
     def __call__(self, value) -> FieldElement:
         k = self.degree
         if isinstance(value, FieldElement):
-            if value.field == self:
+            if value.field is self or value.field == self:
                 return value
             if value.field == self.base:
                 return FieldElement(self, (value.v,) + (0,) * (k - 1))
@@ -474,7 +497,7 @@ class ExtField(Field):
         return tuple(reversed(v))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, ExtField)
             and other.char == self.char
             and other.modulus == self.modulus

@@ -48,6 +48,8 @@ from .projective import (
 )
 
 EXHAUSTIVE_PRIME_CAP = 11
+# rows of P^5(F_q) per slice in count_scroll_points
+SCAN_CHUNK = 1 << 14
 
 
 def _form_value(field, A, u, v):
@@ -285,18 +287,21 @@ def count_scroll_points(net: Net) -> ScrollCountReport:
         for M in net.matrices
     ]
     reps = _proj_reps_array(q, 6)
-    cols = [(reps @ A.T) % q for A in mats]
-    stacked = np.stack(cols, axis=2)
-    ok = np.ones(len(reps), dtype=bool)
-    for a, b, c in itertools.combinations(range(6), 3):
-        Ma, Mb, Mc = stacked[:, a, :], stacked[:, b, :], stacked[:, c, :]
-        det = (
-            Ma[:, 0] * (Mb[:, 1] * Mc[:, 2] - Mb[:, 2] * Mc[:, 1])
-            - Ma[:, 1] * (Mb[:, 0] * Mc[:, 2] - Mb[:, 2] * Mc[:, 0])
-            + Ma[:, 2] * (Mb[:, 0] * Mc[:, 1] - Mb[:, 1] * Mc[:, 0])
-        )
-        ok &= det % q == 0
-    x_count = int(ok.sum())
+    x_count = 0
+    # slices of SCAN_CHUNK points bound the temporaries' memory
+    for start in range(0, len(reps), SCAN_CHUNK):
+        block = reps[start:start + SCAN_CHUNK]
+        stacked = np.stack([(block @ A.T) % q for A in mats], axis=2)
+        ok = np.ones(len(block), dtype=bool)
+        for a, b, c in itertools.combinations(range(6), 3):
+            Ma, Mb, Mc = stacked[:, a, :], stacked[:, b, :], stacked[:, c, :]
+            det = (
+                Ma[:, 0] * (Mb[:, 1] * Mc[:, 2] - Mb[:, 2] * Mc[:, 1])
+                - Ma[:, 1] * (Mb[:, 0] * Mc[:, 2] - Mb[:, 2] * Mc[:, 0])
+                + Ma[:, 2] * (Mb[:, 0] * Mc[:, 1] - Mb[:, 1] * Mc[:, 0])
+            )
+            ok &= det % q == 0
+        x_count += int(ok.sum())
     c_count = len(net_pfaffian_cubic(net).rational_points())
     fibers = [line for _, line in rational_fibers(net)]
     # on the cubic the rank is at most 4, and exactly 4 iff the kernel is a line

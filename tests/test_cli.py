@@ -450,3 +450,87 @@ def test_fuzzed_generator_inputs_exit_with_a_documented_code(argv):
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     if code == 0:
         check_report(out.getvalue())
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_FOURNETS_DEFECTS = (
+    "count", "length", "non-scalar", "fraction", "zero", "dependent",
+    "no-generators", "no-field", "bad-field", "not-a-list",
+)
+
+
+@st.composite
+def _fuzz_fournets(draw):
+    # every document carries at least one defect, so none reaches the
+    # companion construction
+    p = draw(st.sampled_from((3, 5, 7)))
+    ints = st.integers(-(10**6), 10**6)
+    gens = [draw(st.lists(ints, min_size=15, max_size=15)) for _ in range(3)]
+    doc = {"field": f"F{p}", "generators": gens}
+    for defect in draw(st.sets(st.sampled_from(_FOURNETS_DEFECTS), min_size=1, max_size=3)):
+        i = draw(st.integers(0, 2))
+        if defect == "count":
+            doc["generators"] = gens[:draw(st.sampled_from((0, 1, 2)))] + (
+                [gens[0]] * draw(st.integers(1, 2)) if draw(st.booleans()) else [])
+        elif defect == "length":
+            gens[i] = draw(st.lists(ints, max_size=20).filter(lambda g: len(g) != 15))
+        elif defect == "non-scalar":
+            if len(gens[i]) == 15:
+                gens[i][draw(st.integers(0, 14))] = draw(
+                    st.sampled_from(([1, 2], [], None, "x", 1.5, True, {"a": 1})))
+        elif defect == "fraction":
+            if len(gens[i]) == 15:
+                # coprime to p, so the reduced denominator keeps the factor p
+                num = p * draw(ints) + 1
+                gens[i][draw(st.integers(0, 14))] = f"{num}/{p * draw(st.integers(1, 5))}"
+        elif defect == "zero":
+            gens[i] = [0] * 15
+        elif defect == "dependent":
+            c = draw(st.integers(1, p - 1))
+            gens[2] = [c * x for x in gens[0]]
+        elif defect == "no-generators":
+            doc.pop("generators")
+        elif defect == "no-field":
+            doc.pop("field")
+        elif defect == "bad-field":
+            doc["field"] = draw(st.sampled_from(("F2", "F4", "F1", "Q7", "F7^2", "", 7)))
+        else:
+            doc["generators"] = draw(st.sampled_from(({"0": gens[0]}, "gens", 3, None)))
+    return ["net", "fournets", json.dumps(doc), "--trials", "1"]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_fuzz_fournets())
+def test_fuzzed_fournets_inputs_exit_with_a_documented_code(argv):
+    code, out, err = _run_quietly(argv)
+    assert code in (2, 3, 4), (argv, err)
+
+
+@st.composite
+def _fuzz_cohomology(draw):
+    # small n and narrow windows: en_table's cost grows with both
+    argv = ["cohomology", "table"]
+    small = st.integers(-3, 14)
+    for flag, value in (("--n", small), ("--m", small),
+                        ("--from", st.integers(-20, 20)), ("--to", st.integers(-20, 20))):
+        shape = draw(st.sampled_from(("int",) * 4 + ("missing", "non-int")))
+        if shape == "int":
+            argv += [flag, str(draw(value))]
+        elif shape == "non-int":
+            argv += [flag, draw(st.sampled_from(("x", "1.5", "", "3/2", "1e3")))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_fuzz_cohomology())
+def test_fuzzed_cohomology_inputs_exit_with_a_documented_code(argv):
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code == 0:
+        check_report(out)

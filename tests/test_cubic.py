@@ -27,6 +27,8 @@ from skewloci.cubic import (
 )
 from skewloci.errors import PreconditionError
 from skewloci.fields import QQ, PrimeField, extend_field, identity_embedding
+from skewloci.polys import MPoly
+from skewloci.projective import projective_reps
 
 # l2^2 l3 - l1^3 + l1 l3^2 in wire order
 ANCHOR = [-1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
@@ -209,6 +211,86 @@ def test_halvings_match_the_point_scan(make):
     for R in targets:
         assert set(halvings(C, DivisorClass(C, 0, R))) == _scan_halvings(C, R)
     assert {c.rep for c in two_torsion(C).classes} == _scan_halvings(C, C.base_point)
+
+
+def _scan_points(C):
+    # the P^2 scan that rational_points replaced, kept as its oracle
+    return [tuple(r) for r in projective_reps(C.field, 3) if C.evaluate(r).is_zero()]
+
+
+def _anchor_over_f9():
+    K, emb = extend_field(PrimeField(3), 2)
+    return PlaneCubic(K, [emb(PrimeField(3)(c)) for c in ANCHOR], base_point=FLEX)
+
+
+def _ternary(field, coeffs, monomials):
+    P = MPoly.zero(field, 3)
+    for c, e in zip(coeffs, monomials):
+        P = P + MPoly(field, 3, {e: field(c)})
+    return P
+
+
+_LINEAR = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_QUADRATIC = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+
+def _with_line(F, line, quad):
+    return PlaneCubic.from_mpoly(_ternary(F, line, _LINEAR) * _ternary(F, quad, _QUADRATIC))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _anchor(PrimeField(3)),
+    lambda: _anchor(PrimeField(5)),
+    lambda: _anchor(PrimeField(7)),
+    lambda: _anchor(PrimeField(13)),
+    _anchor_over_f49,
+    _anchor_over_f9,
+    # l2 = 3 l1 lies on the curve: C(1, 3, z) is the zero polynomial
+    lambda: _with_line(PrimeField(7), (3, -1, 0), (1, 0, 2, 1, 0, 3)),
+    # l1 = 0 lies on the curve: C(0, 1, z) vanishes and (0:0:1) is a point
+    lambda: _with_line(PrimeField(5), (1, 0, 0), (0, 1, 1, 2, 0, 1)),
+    # (0:0:1) on the curve, and off it
+    lambda: PlaneCubic(PrimeField(11), [1, 0, 2, 0, 5, 0, 3, 0, 1, 0]),
+    lambda: PlaneCubic(PrimeField(11), [1, 0, 2, 0, 5, 0, 3, 0, 1, 4]),
+    # (l1 + l2 + 2 l3)^3 in characteristic 3: a triple line
+    lambda: PlaneCubic(PrimeField(3), [1, 0, 0, 0, 0, 0, 1, 0, 0, 2]),
+], ids=["F3", "F5", "F7", "F13", "F7^2", "F3^2", "zero-line", "line-l1",
+        "with-001", "without-001", "triple-line"])
+def test_rational_points_match_the_plane_scan(make):
+    C = make()
+    assert C.rational_points() == _scan_points(C)
+
+
+def test_points_by_lines_on_degenerate_lines():
+    F7 = PrimeField(7)
+    pts = _with_line(F7, (3, -1, 0), (1, 0, 2, 1, 0, 3)).rational_points()
+    assert all((F7(1), F7(3), z) in pts for z in F7.elements())
+    pts = _with_line(PrimeField(5), (1, 0, 0), (0, 1, 1, 2, 0, 1)).rational_points()
+    F5 = PrimeField(5)
+    assert all((F5(0), F5(1), z) in pts for z in F5.elements())
+    assert pts[-1] == (F5(0), F5(0), F5(1))
+    # the triple line l1 + l2 + 2 l3 = 0 has q + 1 points, all singular
+    F3 = PrimeField(3)
+    C = PlaneCubic(F3, [1, 0, 0, 0, 0, 0, 1, 0, 0, 2])
+    assert len(C.rational_points()) == 4
+    rep = is_smooth(C)
+    assert not rep.smooth and rep.certificate == "vanishing-gradient"
+    assert rep.witness == _scan_points(C)[0]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.sampled_from([3, 5, 7, 11]),
+    st.lists(st.integers(0, 10), min_size=10, max_size=10),
+    st.lists(st.booleans(), min_size=10, max_size=10),
+)
+def test_rational_points_by_lines_property(p, coeffs, keep):
+    # sparse draws reach zero line polynomials and the point (0:0:1)
+    cs = [c if k else 0 for c, k in zip(coeffs, keep)]
+    F = PrimeField(p)
+    assume(any(c % p for c in cs))
+    C = PlaneCubic(F, cs)
+    assert C.rational_points() == _scan_points(C)
 
 
 def test_two_torsion_anchor_over_q():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -370,3 +372,65 @@ def test_field_axioms_property(case):
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
         with pytest.raises(PreconditionError):
             op(x, foreign)
+
+
+def test_prime_fields_are_interned():
+    assert PrimeField(7) is PrimeField(7)
+    assert PrimeField(2**61 - 1) is PrimeField(2**61 - 1)
+    assert field_from_wire("F101") is PrimeField(101)
+    assert PrimeField(7) is not PrimeField(11)
+    # an extension's base is the interned prime field
+    assert ExtField(5, (2, 0, 1)).base is PrimeField(5)
+    # the table is keyed by the integer p: 7.0 is refused, not interned
+    with pytest.raises(TypeError):
+        PrimeField(7.0)
+    assert type(PrimeField(7).char) is int
+    # copies and unpickled fields are the interned field too
+    F = PrimeField(13)
+    assert copy.deepcopy(F) is F and pickle.loads(pickle.dumps(F)) is F
+    x = pickle.loads(pickle.dumps(F(5)))
+    assert x.field is F and x == F(5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrimeField(7),
+    lambda: extend_field(PrimeField(7), 2)[0],
+    lambda: extend_field(PrimeField(3), 3)[0],
+    lambda: QQ,
+], ids=["F7", "F7^2", "F3^3", "Q"])
+def test_zero_and_one_are_built_once(make):
+    F = make()
+    assert F.zero is F.zero
+    assert F.one is F.one
+    assert F.zero == F(0) and F.zero.is_zero()
+    assert F.one == F(1) and not F.one.is_zero()
+    x = F(2)
+    assert x + F.zero == x and x * F.one == x
+
+
+def test_cross_field_mixing_still_raises():
+    F7, F11 = PrimeField(7), PrimeField(11)
+    F49, emb = extend_field(F7, 2)
+    for a, b in ((F7(2), F11(2)), (F7(2), F49(2)), (F49.gen(), F7(3)), (F7(1), QQ(1))):
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v, lambda u, v: u / v):
+            with pytest.raises(PreconditionError):
+                op(a, b)
+            with pytest.raises(PreconditionError):
+                op(b, a)
+    assert F7(2) != F11(2)
+    assert F7(2) != F49(2)
+    # the embedding is the way in
+    assert emb(F7(2)) + F49(2) == F49(4)
+
+
+def test_ext_fields_with_one_modulus_compare_and_mix_as_equal():
+    K1, K2 = ExtField(7, (1, 0, 1)), ExtField(7, (1, 0, 1))
+    assert K1 is not K2
+    assert K1 == K2 and hash(K1) == hash(K2)
+    a, b = K1((1, 2)), K2((1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert (a + b).v == (2, 4)
+    assert (a * b) == K1((1, 2)) * K1((1, 2))
+    assert K1(b) is b
+    assert K1.zero == K2.zero and K1.one == K2.one

@@ -438,28 +438,28 @@ def test_fiber_points_are_members():
 
 def test_net_derived_geometry_is_built_once(monkeypatch):
     # the cubic, its points and the kernel forms belong to the net: one
-    # enumeration of P^2(F_101) serves the plane search, two restricted
-    # fibers and an anchored copy of the cubic
+    # enumeration of the cubic's points over F_101 serves the plane search,
+    # two restricted fibers and an anchored copy of the cubic
     q, seed = selftest.DIRECTRIX_NETS[0]
     net = selftest.seeded_net(PrimeField(q), seed)
     assert net_pfaffian_cubic(net) is net_pfaffian_cubic(net)
     assert isinstance(sub_pfaffian_forms(net), tuple)
     assert sub_pfaffian_forms(net) is sub_pfaffian_forms(net)
     scans = []
-    real = cubic_module.projective_reps
+    real = cubic_module._points_by_lines
 
-    def counted(field, n):
-        scans.append(n)
-        return real(field, n)
+    def counted(C):
+        scans.append(C.field.order)
+        return real(C)
 
-    monkeypatch.setattr(cubic_module, "projective_reps", counted)
+    monkeypatch.setattr(cubic_module, "_points_by_lines", counted)
     rep = directrix_planes(net, seed=0)
     for k in rep.fibers[:2]:
         assert restricted_fiber_dim(net, k, rep.planes, seed=0).dim == 3
     C = net_pfaffian_cubic(net)
     anchored = C.anchored(C.rational_points()[0])
     assert anchored.rational_points() == C.rational_points()
-    assert scans == [3]
+    assert scans == [q]
 
 
 @pytest.mark.parametrize("triples", [None, TYPE2_TRIPLES], ids=["general", "type2"])
