@@ -110,15 +110,9 @@ def run_classify(field, doc, seed, trials):
 
 
 def run_pencil(field, doc, seed, trials):
-    from .complexes import LinearComplex
     from .pencils import Pencil, alpha
 
-    g1, g2 = _decode_pairs_vectors(field, doc, 2)
-    pen = Pencil(
-        field,
-        LinearComplex.from_pairs(field, g1),
-        LinearComplex.from_pairs(field, g2),
-    )
+    pen = Pencil.from_pair_vectors(field, _decode_pairs_vectors(field, doc, 2))
     rep = alpha(pen, seed=seed)
     members = [
         {

@@ -5,6 +5,11 @@ bilinear form on k^6.  The form's rank stratifies the complexes: rank 6 is
 the general case, rank 4 is a first-type special complex (singular along a
 line), rank 2 is a second-type special complex consisting of all lines that
 meet a fixed 3-space.
+
+m independent complexes define a morphism O^m -> Omega(2) on P^5
+(ComplexSystem); pencils (m = 2) and nets (m = 3) are its two cases, and
+pfaffian_form gives the Pfaffian of their combinations as one form in m
+variables.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from .linalg import (
     kernel,
     mat_vec,
     pairs_from_skew,
+    pfaffian,
     pfaffian_field,
     rank,
     skew_from_pairs,
     zeros,
 )
+from .polys import MPoly
 from .projective import Subspace, join, meet, subspace_points
 
 GENERAL = "general"
@@ -128,6 +135,115 @@ class ComplexClass:
 
     def __repr__(self):
         return f"ComplexClass({self.kind}, singular dim {self.singular_space.proj_dim})"
+
+
+class GenericMorphism:
+    """A tuple of independent skew matrices defining a morphism to twisted forms."""
+
+    __slots__ = ("field", "n", "m", "matrices")
+
+    def __init__(self, field, matrices):
+        mats = []
+        for M in matrices:
+            rows = [[x if hasattr(x, "field") else field(x) for x in row] for row in M]
+            check_skew(field, rows)
+            mats.append(rows)
+        if not mats:
+            raise PreconditionError("a morphism needs at least one matrix")
+        size = len(mats[0])
+        if any(len(M) != size for M in mats):
+            raise PreconditionError("all matrices must share one size")
+        self.field = field
+        self.n = size - 1
+        self.m = len(mats)
+        if self.m > self.n:
+            raise PreconditionError("the matrix count must not exceed the dimension")
+        flat = [
+            [M[i][j] for i in range(size) for j in range(i + 1, size)] for M in mats
+        ]
+        if rank(field, flat) != self.m:
+            raise PreconditionError("the skew matrices are linearly dependent")
+        self.matrices = mats
+
+    def combination(self, lam):
+        coeffs = [x if hasattr(x, "field") else self.field(x) for x in lam]
+        if len(coeffs) != self.m:
+            raise PreconditionError("combination needs one scalar per matrix")
+        size = self.n + 1
+        out = [[self.field.zero] * size for _ in range(size)]
+        for c, M in zip(coeffs, self.matrices):
+            if c.is_zero():
+                continue
+            for i in range(size):
+                for j in range(size):
+                    out[i][j] = out[i][j] + c * M[i][j]
+        return out
+
+    def __repr__(self):
+        return f"GenericMorphism(n={self.n}, m={self.m})"
+
+
+class ComplexSystem(GenericMorphism):
+    """The span of independent complexes: the morphism O^m -> Omega(2) on P^5
+    of their normalized matrices.
+
+    A subclass sets arity, the number of generators (a Pencil has 2, a Net
+    has 3); the generators may be complexes or skew matrices over the field.
+    """
+
+    __slots__ = ("generators",)
+    arity: int
+
+    def __init__(self, field, *generators):
+        if len(generators) != self.arity:
+            raise PreconditionError(f"expected {self.arity} generators")
+        gens = []
+        for g in generators:
+            if not isinstance(g, LinearComplex):
+                g = LinearComplex(field, g)
+            if g.field != field:
+                raise PreconditionError("generators must live over the base field")
+            gens.append(g)
+        super().__init__(field, [g.matrix for g in gens])
+        self.generators = tuple(gens)
+
+    @classmethod
+    def from_pair_vectors(cls, field, vectors):
+        return cls(field, *(LinearComplex.from_pairs(field, v) for v in vectors))
+
+    def member(self, lam) -> LinearComplex:
+        cx = LinearComplex(self.field, self.combination(lam))
+        if cx.is_zero():
+            raise PreconditionError("the zero vector does not select a member")
+        return cx
+
+    def map(self, emb):
+        """Extend scalars along a field embedding."""
+        return type(self)(emb.dst, *(g.map(emb) for g in self.generators))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(over {self.field.short()})"
+
+
+def pfaffian_args(phi: GenericMorphism):
+    """The combination matrix with linear-form entries in phi.m variables,
+    with the zero and one it is reduced over."""
+    field, m, size = phi.field, phi.m, phi.n + 1
+    zero = MPoly.zero(field, m)
+    entries = [[zero] * size for _ in range(size)]
+    for k, M in enumerate(phi.matrices):
+        exps = tuple(1 if t == k else 0 for t in range(m))
+        for i in range(size):
+            for j in range(size):
+                if not M[i][j].is_zero():
+                    entries[i][j] = entries[i][j] + MPoly(field, m, {exps: M[i][j]})
+    return entries, zero, MPoly.constant(field, m, field.one)
+
+
+def pfaffian_form(phi: GenericMorphism) -> MPoly:
+    """Pf(lam_1 A_1 + ... + lam_m A_m) as a form of degree (n + 1) / 2 in lam:
+    the binary cubic of a pencil, the ternary cubic of a net."""
+    return pfaffian(*pfaffian_args(phi))
 
 
 def second_type_complex(field: Field, space: Subspace) -> LinearComplex:

@@ -235,7 +235,7 @@ def _smoothness_search(C: PlaneCubic, seed: int) -> SmoothnessReport:
         # the Euler identity degenerates, so membership in the curve must be
         # imposed explicitly alongside the critical equations
         forms = [C.as_mpoly()] + forms
-    search = common_projective_zero(C.field, forms, seed=seed, want_witness=True)
+    search = common_projective_zero(C.field, forms, seed=seed)
     if search.found:
         return SmoothnessReport(
             False, witness=search.point, field=search.point_field,

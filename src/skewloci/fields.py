@@ -897,17 +897,6 @@ class RootResult:
         self.pairs = pairs
         self.splitting = splitting
 
-    def in_splitting_field(self):
-        """All roots moved into one common field; returns (field, embedding, pairs)."""
-        if self.splitting is None:
-            emb = identity_embedding(self.base)
-            return self.base, emb, list(self.pairs)
-        ext, emb = self.splitting
-        lifted = []
-        for r, m in self.pairs:
-            lifted.append((r if r.field == ext else emb(r), m))
-        return ext, emb, lifted
-
     def __repr__(self):
         return f"RootResult({self.pairs!r})"
 

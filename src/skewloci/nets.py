@@ -14,7 +14,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from .complexes import LinearComplex, special_fiber
+from .complexes import (
+    ComplexSystem,
+    LinearComplex,
+    pfaffian_args,
+    pfaffian_form,
+    special_fiber,
+)
 from .cubic import (
     CONIC_MONOMIALS,
     PlaneCubic,
@@ -30,10 +36,8 @@ from .errors import (
 from .fields import Poly, factor, roots
 from .linalg import (
     PAIRS,
-    check_skew,
     kernel,
     mat_vec,
-    pfaffian,
     rank,
     sub_pfaffians_6,
 )
@@ -44,6 +48,7 @@ from .projective import (
     line_through,
     meet,
     pluecker_of_line,
+    random_vector,
     subspace_points,
 )
 
@@ -57,53 +62,7 @@ def _form_value(field, A, u, v):
     return sum((x * y for x, y in zip(u, Av)), start=field.zero)
 
 
-class GenericMorphism:
-    """A tuple of independent skew matrices defining a morphism to twisted forms."""
-
-    __slots__ = ("field", "n", "m", "matrices")
-
-    def __init__(self, field, matrices):
-        mats = []
-        for M in matrices:
-            rows = [[x if hasattr(x, "field") else field(x) for x in row] for row in M]
-            check_skew(field, rows)
-            mats.append(rows)
-        if not mats:
-            raise PreconditionError("a morphism needs at least one matrix")
-        size = len(mats[0])
-        if any(len(M) != size for M in mats):
-            raise PreconditionError("all matrices must share one size")
-        self.field = field
-        self.n = size - 1
-        self.m = len(mats)
-        if self.m > self.n:
-            raise PreconditionError("the matrix count must not exceed the dimension")
-        flat = [
-            [M[i][j] for i in range(size) for j in range(i + 1, size)] for M in mats
-        ]
-        if rank(field, flat) != self.m:
-            raise PreconditionError("the skew matrices are linearly dependent")
-        self.matrices = mats
-
-    def combination(self, lam):
-        coeffs = [x if hasattr(x, "field") else self.field(x) for x in lam]
-        if len(coeffs) != self.m:
-            raise PreconditionError("combination needs one scalar per matrix")
-        size = self.n + 1
-        out = [[self.field.zero] * size for _ in range(size)]
-        for c, M in zip(coeffs, self.matrices):
-            if c.is_zero():
-                continue
-            for i in range(size):
-                for j in range(size):
-                    out[i][j] = out[i][j] + c * M[i][j]
-        return out
-
-    def __repr__(self):
-        return f"GenericMorphism(n={self.n}, m={self.m})"
-
-
-class Net(GenericMorphism):
+class Net(ComplexSystem):
     """Three independent complexes spanning a plane in the dual 14-space.
 
     The net is the morphism O^3 -> Omega(2) of its generators' normalized
@@ -111,34 +70,13 @@ class Net(GenericMorphism):
     and kept (see net_pfaffian_cubic and sub_pfaffian_forms).
     """
 
-    __slots__ = ("generators", "_cubic", "_sforms")
+    __slots__ = ("_cubic", "_sforms")
+    arity = 3
 
-    def __init__(self, field, g1, g2, g3):
-        gens = []
-        for g in (g1, g2, g3):
-            if not isinstance(g, LinearComplex):
-                g = LinearComplex(field, g)
-            if g.field != field:
-                raise PreconditionError("net generators must share the base field")
-            gens.append(g)
-        super().__init__(field, [g.matrix for g in gens])
-        self.generators = tuple(gens)
+    def __init__(self, field, *generators):
+        super().__init__(field, *generators)
         self._cubic = None
         self._sforms = None
-
-    @classmethod
-    def from_pair_vectors(cls, field, triples):
-        gens = [LinearComplex.from_pairs(field, t) for t in triples]
-        return cls(field, *gens)
-
-    def member(self, lam) -> LinearComplex:
-        return LinearComplex(self.field, self.combination(lam))
-
-    def map(self, emb) -> "Net":
-        return Net(emb.dst, *(g.map(emb) for g in self.generators))
-
-    def __repr__(self):
-        return f"Net(over {self.field.short()})"
 
 
 def x_membership(phi, P) -> bool:
@@ -173,23 +111,6 @@ def scroll_fiber(phi, lam) -> Subspace:
     return Subspace(field, phi.n + 1, kern)
 
 
-def _pfaffian_args(net: Net):
-    """The combination matrix with linear-form entries in lam, with the
-    zero and one it is reduced over."""
-    field = net.field
-    size = 6
-    zero = MPoly.zero(field, 3)
-    entries = [[zero for _ in range(size)] for _ in range(size)]
-    for k, M in enumerate(net.matrices):
-        for i in range(size):
-            for j in range(size):
-                if M[i][j].is_zero():
-                    continue
-                exps = tuple(1 if t == k else 0 for t in range(3))
-                entries[i][j] = entries[i][j] + MPoly(field, 3, {exps: M[i][j]})
-    return entries, zero, MPoly.constant(field, 3, field.one)
-
-
 def net_pfaffian_cubic(net: Net) -> PlaneCubic:
     """The ternary cubic equal to the Pfaffian of the net's combinations.
 
@@ -197,7 +118,7 @@ def net_pfaffian_cubic(net: Net) -> PlaneCubic:
     on every later call.
     """
     if net._cubic is None:
-        P = pfaffian(*_pfaffian_args(net))
+        P = pfaffian_form(net)
         if P.is_zero():
             raise DegenerateInputError("the net's Pfaffian vanishes identically")
         net._cubic = PlaneCubic.from_mpoly(P)
@@ -210,7 +131,7 @@ def sub_pfaffian_forms(net: Net):
     Built once per net and returned as a tuple.
     """
     if net._sforms is None:
-        net._sforms = tuple(sub_pfaffians_6(*_pfaffian_args(net)))
+        net._sforms = tuple(sub_pfaffians_6(*pfaffian_args(net)))
     return net._sforms
 
 
@@ -746,7 +667,7 @@ def net_type(net: Net, seed: int = 0) -> NetTypeReport:
         pass
     if not forms:
         raise InconsistencyError("independent net with no rank conditions")
-    search = common_projective_zero(field, forms, seed=seed, want_witness=True)
+    search = common_projective_zero(field, forms, seed=seed)
     if search.found:
         return NetTypeReport(
             "contains-second-type", witness_kind="elimination",
@@ -798,14 +719,7 @@ def type2_singular_locus_check(
     if field.char <= EXHAUSTIVE_PRIME_CAP and field.degree == 1:
         pts = list(subspace_points(three))
     else:
-        pts = []
-        for _ in range(200):
-            vec = [field.zero] * 6
-            for row in three.rows:
-                c = field.random(rng)
-                vec = [x + c * y for x, y in zip(vec, row)]
-            if any(not x.is_zero() for x in vec):
-                pts.append(vec)
+        pts = [random_vector(three, rng) for _ in range(200)]
     all_member = all(x_membership(net, pt) for pt in pts)
     fibers = [line for _, line in itertools.islice(rational_fibers(net), 60)]
     off_failures = 0

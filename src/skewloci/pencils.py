@@ -17,7 +17,8 @@ import random
 from .complexes import (
     SPECIAL_FIRST,
     SPECIAL_SECOND,
-    LinearComplex,
+    ComplexSystem,
+    pfaffian_form,
     second_type_complex,
     special_fiber,
 )
@@ -27,70 +28,17 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import Field, Poly, identity_embedding, roots
+from .fields import Field, identity_embedding, roots
 from .linalg import rank, skew_from_pairs
+from .polys import binary_form_to_poly
 from .projective import Subspace, join, meet, random_vector, subspace_points
 
 
-class Pencil:
+class Pencil(ComplexSystem):
     """Span of two independent complexes, a line in the dual P^14."""
 
-    __slots__ = ("field", "gen1", "gen2")
-
-    def __init__(self, field: Field, gen1: LinearComplex, gen2: LinearComplex):
-        if gen1.field != field or gen2.field != field:
-            raise PreconditionError("generators must live over the pencil's field")
-        coeff_rows = [
-            [x for x in gen1.coeffs()],
-            [x for x in gen2.coeffs()],
-        ]
-        if rank(field, coeff_rows) != 2:
-            raise PreconditionError("generators are proportional; not a pencil")
-        self.field = field
-        self.gen1 = gen1
-        self.gen2 = gen2
-
-    def member(self, lam, mu) -> LinearComplex:
-        lam = self.field(lam)
-        mu = self.field(mu)
-        if lam.is_zero() and mu.is_zero():
-            raise PreconditionError("(0, 0) does not select a member")
-        M = [
-            [lam * a + mu * b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.gen1.matrix, self.gen2.matrix)
-        ]
-        return LinearComplex(self.field, M)
-
-    def map(self, emb) -> "Pencil":
-        return Pencil(emb.dst, self.gen1.map(emb), self.gen2.map(emb))
-
-    def binary_pfaffian(self):
-        """Coefficients (c0, c1, c2, c3) of Pf(s*gen1 + t*gen2) in s^3..t^3.
-
-        Recovered from four evaluations; needs 1/2, available in every
-        supported characteristic.
-        """
-        from .linalg import pfaffian_field
-
-        F = self.field
-        # evaluate on raw linear combinations: members are normalized on
-        # construction, which would scale the Pfaffian inconsistently
-        vals = {}
-        for lam, mu in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            M = [
-                [F(lam) * a + F(mu) * b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.gen1.matrix, self.gen2.matrix)
-            ]
-            vals[(lam, mu)] = pfaffian_field(F, M)
-        half = (F.one + F.one).inverse()
-        c0 = vals[(1, 0)]
-        c3 = vals[(0, 1)]
-        c2 = (vals[(1, 1)] + vals[(1, -1)]) * half - c0
-        c1 = (vals[(1, 1)] - vals[(1, -1)]) * half - c3
-        return (c0, c1, c2, c3)
-
-    def __repr__(self):
-        return f"Pencil(over {self.field.short()})"
+    __slots__ = ()
+    arity = 2
 
 
 class SingularMember:
@@ -122,17 +70,16 @@ def pencil_singular_elements(pencil: Pencil, allow_extension: bool = False,
     the pencil's field into the root's field.
     """
     F = pencil.field
-    c0, c1, c2, c3 = pencil.binary_pfaffian()
-    if all(c.is_zero() for c in (c0, c1, c2, c3)):
+    B = pfaffian_form(pencil)
+    if B.is_zero():
         raise DegenerateInputError(
             "the Pfaffian vanishes identically: every member is special"
         )
-    b = Poly(F, [c0, c1, c2, c3])
+    b, drop = binary_form_to_poly(B, 0, 1)
     out = []
     ident = identity_embedding(F)
-    drop = 3 - b.degree
     if drop > 0:
-        member = pencil.member(0, 1)
+        member = pencil.member([0, 1])
         out.append(
             SingularMember(F.zero, F.one, drop, member, member.classify(), ident)
         )
@@ -140,12 +87,12 @@ def pencil_singular_elements(pencil: Pencil, allow_extension: bool = False,
         rr = roots(b, allow_extension=allow_extension, seed=seed)
         for r, mult in rr.pairs:
             if r.field == F:
-                member = pencil.member(F.one, r)
+                member = pencil.member([F.one, r])
                 emb = ident
             else:
                 emb = rr.splitting[1]
                 lifted = pencil.map(emb)
-                member = lifted.member(r.field.one, r)
+                member = lifted.member([r.field.one, r])
             out.append(
                 SingularMember(
                     emb(F.one), r, mult, member, member.classify(), emb
@@ -301,11 +248,7 @@ def pencils_with_singular_lines(l1: Subspace, l2: Subspace, l3: Subspace,
                 continue
             if any(L.contains_vector(v) for v in vertices):
                 continue
-            pen = Pencil(
-                field,
-                LinearComplex.from_pairs(field, p),
-                LinearComplex.from_pairs(field, q),
-            )
+            pen = Pencil.from_pair_vectors(field, [p, q])
             _assert_type_a(pen, (l1, l2, l3))
             return pen
         raise PreconditionError(
@@ -320,11 +263,7 @@ def pencils_with_singular_lines(l1: Subspace, l2: Subspace, l3: Subspace,
             L = Subspace(field, 15, [p, q])
             if L.dim != 2:
                 continue
-            pen = Pencil(
-                field,
-                LinearComplex.from_pairs(field, p),
-                LinearComplex.from_pairs(field, q),
-            )
+            pen = Pencil.from_pair_vectors(field, [p, q])
             try:
                 sings = pencil_singular_elements(pen, seed=seed)
             except DegenerateInputError:
@@ -417,8 +356,6 @@ def alpha(pencil: Pencil, seed: int = 0) -> AlphaReport:
 
 def _hop_embedding(member, top, members):
     """Embedding of a member's field into the common top root field."""
-    from .fields import compose_embeddings
-
     src = member.complex.field
     if src == member.embedding.src:
         # member stayed in the base field; ride any embedding into the top

@@ -18,7 +18,6 @@ from .fields import (
     Field,
     FieldElement,
     Poly,
-    Rationals,
     compose_embeddings,
     extend_field,
     factor,
@@ -28,6 +27,9 @@ from .fields import (
 )
 from .linalg import det as field_det
 from .projective import projective_reps
+
+# largest projective plane _enumeration_search scans
+MAX_ENUM_POINTS = 200_000
 
 
 class MPoly:
@@ -371,11 +373,13 @@ def _root_with_leg(g: Poly, seed: int):
     return rr.pairs[0][0], leg
 
 
-def _check_candidate(forms_H, x0, y0, emb, seed, want_witness):
+def _check_candidate(forms_H, x0, y0, emb, seed):
     """Try the slice x = x0, y = y0 with emb: base -> field of x0.
 
-    Returns (found, point or None, total embedding).  The point, when
-    produced, satisfies every form and may live one extension leg above x0.
+    Returns (found, point, total embedding); point is None when found is
+    False.  The point satisfies every form and may live one extension leg
+    above x0; over Q, UnsupportedFieldError means the slice holds a zero
+    whose last coordinate is irrational.
     """
     K = x0.field
     slices = [specialize_last(H, x0, y0, emb) for H in forms_H]
@@ -389,25 +393,23 @@ def _check_candidate(forms_H, x0, y0, emb, seed, want_witness):
             return False, None, emb
     if g.degree < 1:
         return False, None, emb
-    if not want_witness:
-        return True, None, emb
     z0, leg = _root_with_leg(g, seed)
     if leg is None:
         return True, [x0, y0, z0], emb
     return True, [leg(x0), leg(y0), z0], compose_embeddings(emb, leg)
 
 
-def _enumeration_search(field, forms, max_points):
+def _enumeration_search(field, forms):
     """Scan rational points of the base field and two extension steps.
 
     A tower level is only scanned when its projective plane has at most
-    max_points points, so the cost stays bounded.
+    MAX_ENUM_POINTS points, so the cost stays bounded.
     """
     towers = []
     if field.order is not None:
         for d in (1, 2, 3):
             q = field.order**d
-            if q * q + q + 1 > max_points:
+            if q * q + q + 1 > MAX_ENUM_POINTS:
                 break
             if d == 1:
                 towers.append((field, identity_embedding(field)))
@@ -432,8 +434,6 @@ def common_projective_zero(
     field: Field,
     forms,
     seed: int = 0,
-    want_witness: bool = True,
-    max_enum_points: int = 200_000,
     _depth: int = 0,
 ) -> ZeroSearch:
     """Decide whether ternary forms share a zero over the algebraic closure.
@@ -488,10 +488,7 @@ def common_projective_zero(
         if field.order is not None and field.order < 50 and _depth < 3:
             ext, emb = extend_field(field, 2, seed=seed)
             lifted = [F.map_coeffs(emb) for F in forms]
-            res = common_projective_zero(
-                ext, lifted, seed=seed, want_witness=want_witness,
-                max_enum_points=max_enum_points, _depth=_depth + 1,
-            )
+            res = common_projective_zero(ext, lifted, seed=seed, _depth=_depth + 1)
             if res.embedding is not None:
                 res.embedding = compose_embeddings(emb, res.embedding)
             return res
@@ -505,9 +502,9 @@ def common_projective_zero(
     H = [F.substitute(subs) for F in forms]
 
     if len(H) == 1:
-        res = _single_form_zero(field, H[0], seed, want_witness)
+        res = _single_form_zero(field, H[0], seed)
     else:
-        res = _resultant_route(field, H, rng, seed, want_witness, max_enum_points, forms)
+        res = _resultant_route(field, H, rng, seed, forms)
     if res.point is not None and res.certificate in ("resultant", "line"):
         # move the witness back through the coordinate change
         emb = res.embedding
@@ -525,7 +522,7 @@ def common_projective_zero(
     return res
 
 
-def _single_form_zero(field, H, seed, want_witness):
+def _single_form_zero(field, H, seed):
     # restrict to the line x = 0: a binary form in (y, z), nonzero at (0,0,1)
     slice_poly = specialize_last(H, field.zero, field.one, identity_embedding(field))
     if slice_poly.degree < 1:
@@ -540,7 +537,7 @@ def _single_form_zero(field, H, seed, want_witness):
     return ZeroSearch(True, [K.zero, K.one, z0], K, emb, certificate="resultant")
 
 
-def _resultant_route(field, H, rng, seed, want_witness, max_enum_points, original_forms):
+def _resultant_route(field, H, rng, seed, original_forms):
     # find one pair (or combination) with nonvanishing resultant in z
     pair = None
     for i in range(len(H)):
@@ -575,7 +572,7 @@ def _resultant_route(field, H, rng, seed, want_witness, max_enum_points, origina
             raise UnsupportedFieldError(
                 "degenerate eliminations over Q cannot be certified"
             )
-        enum = _enumeration_search(field, original_forms, max_enum_points)
+        enum = _enumeration_search(field, original_forms)
         if enum.found:
             enum.certificate = "enumeration-shared-component"
             return enum
@@ -600,17 +597,16 @@ def _resultant_route(field, H, rng, seed, want_witness, max_enum_points, origina
                 rational_part = rational_part * (x - Poly(field, [r]))
         leftover = b.degree - rational_part.degree
         for x0, y0, emb in candidates:
-            ok, _, _ = _check_candidate(H, x0, y0, emb, seed, False)
+            try:
+                ok, pt, emb2 = _check_candidate(H, x0, y0, emb, seed)
+            except UnsupportedFieldError:
+                # the candidate is a common zero, but its last coordinate
+                # is irrational
+                return ZeroSearch(
+                    True, certificate="resultant",
+                    caveat="witness needs an algebraic number",
+                )
             if ok:
-                if not want_witness:
-                    return ZeroSearch(True, certificate="resultant")
-                try:
-                    _, pt, emb2 = _check_candidate(H, x0, y0, emb, seed, True)
-                except UnsupportedFieldError:
-                    return ZeroSearch(
-                        True, certificate="resultant",
-                        caveat="witness needs an algebraic number",
-                    )
                 return ZeroSearch(True, pt, emb2.dst, emb2, certificate="resultant")
         if leftover > 0:
             raise UnsupportedFieldError(
@@ -629,9 +625,7 @@ def _resultant_route(field, H, rng, seed, want_witness, max_enum_points, origina
             for r, _m in rr.pairs:
                 candidates.append((emb(field.one), r, emb))
     for x0, y0, emb in candidates:
-        ok, pt, emb2 = _check_candidate(H, x0, y0, emb, seed, want_witness)
+        ok, pt, emb2 = _check_candidate(H, x0, y0, emb, seed)
         if ok:
-            if pt is None:
-                return ZeroSearch(True, certificate="resultant")
             return ZeroSearch(True, pt, emb2.dst, emb2, certificate="resultant")
     return ZeroSearch(False, certificate="resultant")

@@ -9,9 +9,11 @@ vector through the rank-2 skew matrix it defines.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import PreconditionError
-from .fields import Field, FieldElement
-from .linalg import PAIRS, kernel, mat_vec, rank, rref, transpose
+from .fields import Field
+from .linalg import PAIR_INDEX, PAIRS, kernel, rank, rref, skew_from_pairs
 
 
 class Subspace:
@@ -134,15 +136,6 @@ def normalize_projective(vec):
     return [x * inv for x in vec]
 
 
-def skew_matrix_of_pluecker(field: Field, p15):
-    A = [[field.zero for _ in range(6)] for _ in range(6)]
-    for (i, j), c in zip(PAIRS, p15):
-        x = field(c)
-        A[i][j] = x
-        A[j][i] = -x
-    return A
-
-
 def is_decomposable(field: Field, p15) -> bool:
     """Whether 15 coordinates lie on the Grassmannian of lines in P^5.
 
@@ -150,31 +143,25 @@ def is_decomposable(field: Field, p15) -> bool:
     """
     if all(field(c).is_zero() for c in p15):
         return False
-    return rank(field, skew_matrix_of_pluecker(field, p15)) <= 2
+    return rank(field, skew_from_pairs(field, p15)) <= 2
 
 
 def pluecker_relations(field: Field, p15):
     """Values of the quadratic three-term relations, one per 4-subset."""
-    idx = {p: k for k, p in enumerate(PAIRS)}
-    vals = []
     xs = [field(c) for c in p15]
-    n = 6
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    v = (
-                        xs[idx[(a, b)]] * xs[idx[(c, d)]]
-                        - xs[idx[(a, c)]] * xs[idx[(b, d)]]
-                        + xs[idx[(a, d)]] * xs[idx[(b, c)]]
-                    )
-                    vals.append(v)
-    return vals
+
+    def x(i, j):
+        return xs[PAIR_INDEX[(i, j)]]
+
+    return [
+        x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c)
+        for a, b, c, d in itertools.combinations(range(6), 4)
+    ]
 
 
 def line_from_pluecker(field: Field, p15) -> Subspace:
     """The line whose Pluecker vector is proportional to the given one."""
-    A = skew_matrix_of_pluecker(field, p15)
+    A = skew_from_pairs(field, p15)
     if rank(field, A) != 2:
         raise PreconditionError("coordinates are not those of a line")
     line = Subspace(field, 6, A)

@@ -22,7 +22,6 @@ from .cohomology import (
 from .complexes import (
     SPECIAL_FIRST,
     SPECIAL_SECOND,
-    LinearComplex,
     fiber_meet_report,
     fiber_rank2_count,
     second_type_complex,
@@ -41,7 +40,6 @@ from .linalg import (
     sub_pfaffians_6_field,
 )
 from .nets import (
-    GenericMorphism,
     Net,
     count_scroll_points,
     degree_probe,
@@ -321,9 +319,7 @@ def criterion_5() -> CriterionResult:
             line = Subspace(F, 15, [p, q])
             if line.dim != 2 or any(line.contains_vector(v) for v in verts):
                 continue
-            pen = Pencil(
-                F, LinearComplex.from_pairs(F, p), LinearComplex.from_pairs(F, q)
-            )
+            pen = Pencil.from_pair_vectors(F, [p, q])
             done += 1
             sings = pencil_singular_elements(pen)
             ok = (
@@ -340,11 +336,7 @@ def criterion_5() -> CriterionResult:
             q = random_vector(fib3, rng)
             if Subspace(F, 15, [verts[0], q]).dim != 2:
                 continue
-            pen = Pencil(
-                F,
-                LinearComplex.from_pairs(F, verts[0]),
-                LinearComplex.from_pairs(F, q),
-            )
+            pen = Pencil.from_pair_vectors(F, [verts[0], q])
             try:
                 sings = pencil_singular_elements(pen)
             except PreconditionError:
@@ -371,11 +363,7 @@ def criterion_6() -> CriterionResult:
             g1 = [F.random(rng) for _ in range(15)]
             g2 = [F.random(rng) for _ in range(15)]
             try:
-                pen = Pencil(
-                    F,
-                    LinearComplex.from_pairs(F, g1),
-                    LinearComplex.from_pairs(F, g2),
-                )
+                pen = Pencil.from_pair_vectors(F, [g1, g2])
                 break
             except PreconditionError:
                 continue
@@ -392,7 +380,7 @@ def criterion_6() -> CriterionResult:
             q = random_vector(fib3, rng)
             if Subspace(F, 15, [h12.coeffs(), q]).dim != 2:
                 continue
-            pen = Pencil(F, h12, LinearComplex.from_pairs(F, q))
+            pen = Pencil.from_pair_vectors(F, [h12.coeffs(), q])
             try:
                 sings = pencil_singular_elements(pen)
             except PreconditionError:
@@ -401,17 +389,9 @@ def criterion_6() -> CriterionResult:
                 break
         second = next(m for m in sings if m.kind == SPECIAL_SECOND)
         three = second.complex.kernel_space()
-        morph = GenericMorphism(F, [pen.gen1.matrix, pen.gen2.matrix])
-        pts = []
         prng = random.Random(t)
-        while len(pts) < 50:
-            vec = [F.zero] * 6
-            for row in three.rows:
-                c = F.random(prng)
-                vec = [x + c * y for x, y in zip(vec, row)]
-            if any(not x.is_zero() for x in vec):
-                pts.append(vec)
-        if not all(x_membership(morph, pt) for pt in pts):
+        pts = [random_vector(three, prng) for _ in range(50)]
+        if not all(x_membership(pen, pt) for pt in pts):
             bad_spaces += 1
     passed = not_generic == 0 and bad_spaces == 0
     return CriterionResult(

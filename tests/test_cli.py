@@ -9,7 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewloci import selftest
@@ -207,6 +207,23 @@ def test_cohomology_window_flags(capsys):
     report = check_report(out)
     assert report["result"]["window"] == [-1, 1]
     assert len(report["result"]["rows"]) == 3
+
+
+def test_degree_and_window_caps_refuse_oversized_requests(capsys):
+    # uncapped, the degree for n = 16000 (over 4300 digits) takes tens of seconds
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "degree", "--n", "16000", "--m", "8000")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert "16000 is greater than the maximum of 150" in err
+    for flags in (("--n", "151", "--m", "2"), ("--n", "5", "--m", "151"),
+                  ("--n", "5", "--m", "2", "--from", "-151", "--to", "0"),
+                  ("--n", "5", "--m", "2", "--from", "0", "--to", "151")):
+        code, out, err = run_cli(capsys, "cohomology", "table", *flags)
+        assert (code, out) == (2, ""), flags
+    code, out, _ = run_cli(capsys, "degree", "--n", "150", "--m", "75")
+    assert code == 0
+    check_report(out)
 
 
 def test_usage_errors(capsys):
@@ -512,13 +529,22 @@ def test_fuzzed_fournets_inputs_exit_with_a_documented_code(argv):
     assert code in (2, 3, 4), (argv, err)
 
 
+# accepted values stay small, because en_table's cost grows with n and the
+# window; the others lie past the caps of n, m, --from and --to (150)
+_CAPPED = st.one_of(st.integers(-3, 14), st.integers(151, 10**30))
+_TWIST = st.one_of(st.integers(-20, 20), st.integers(151, 10**30),
+                   st.integers(-10**30, -151))
+
+
 @st.composite
 def _fuzz_cohomology(draw):
-    # small n and narrow windows: en_table's cost grows with both
-    argv = ["cohomology", "table"]
-    small = st.integers(-3, 14)
-    for flag, value in (("--n", small), ("--m", small),
-                        ("--from", st.integers(-20, 20)), ("--to", st.integers(-20, 20))):
+    command = draw(st.sampled_from(("cohomology-table", "degree")))
+    if command == "degree":
+        argv, flags = ["degree"], (("--n", _CAPPED), ("--m", _CAPPED))
+    else:
+        argv = ["cohomology", "table"]
+        flags = (("--n", _CAPPED), ("--m", _CAPPED), ("--from", _TWIST), ("--to", _TWIST))
+    for flag, value in flags:
         shape = draw(st.sampled_from(("int",) * 4 + ("missing", "non-int")))
         if shape == "int":
             argv += [flag, str(draw(value))]
@@ -528,6 +554,7 @@ def _fuzz_cohomology(draw):
 
 
 @settings(max_examples=150, deadline=None, database=None)
+@example(["degree", "--n", "16000", "--m", "8000"])
 @given(_fuzz_cohomology())
 def test_fuzzed_cohomology_inputs_exit_with_a_documented_code(argv):
     code, out, err = _run_quietly(argv)

@@ -4,6 +4,7 @@ import pytest
 
 from skewloci import cubic as cubic_module
 from skewloci import selftest
+from skewloci.complexes import GenericMorphism
 from skewloci.errors import (
     DegenerateInputError,
     PreconditionError,
@@ -12,7 +13,6 @@ from skewloci.errors import (
 from skewloci.fields import QQ, PrimeField
 from skewloci.linalg import PAIRS, kernel, mat_vec, pfaffian, rank, sub_pfaffians_6
 from skewloci.nets import (
-    GenericMorphism,
     Net,
     count_scroll_points,
     degree_probe,

@@ -5,12 +5,15 @@ import pytest
 from skewloci.complexes import (
     SPECIAL_FIRST,
     SPECIAL_SECOND,
+    ComplexSystem,
+    GenericMorphism,
     LinearComplex,
-    second_type_complex,
+    pfaffian_form,
 )
 from skewloci.errors import DegenerateInputError, PreconditionError
 from skewloci.fields import QQ, PrimeField
-from skewloci.linalg import PAIRS
+from skewloci.linalg import PAIRS, pfaffian
+from skewloci.nets import Net
 from skewloci.pencils import (
     AlphaReport,
     Pencil,
@@ -99,6 +102,37 @@ def test_identically_zero_pfaffian_reported():
     pen = Pencil(F, a1, a2)
     with pytest.raises(DegenerateInputError):
         pencil_singular_elements(pen)
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), QQ], ids=["F101", "Q"])
+def test_binary_form_matches_numeric_pfaffian(field):
+    rng = random.Random(11)
+    for _ in range(5):
+        gens = [[rng.randint(-9, 9) for _ in range(15)] for _ in range(2)]
+        pen = Pencil.from_pair_vectors(field, gens)
+        B = pfaffian_form(pen)
+        assert (B.n, B.degree()) == (2, 3)
+        for _ in range(10):
+            st = [field(rng.randint(-20, 20)) for _ in range(2)]
+            M = pen.combination(st)
+            assert B.evaluate(st) == pfaffian(M, field.zero, field.one)
+
+
+def test_pencil_and_net_share_the_generator_base():
+    F = PrimeField(7)
+    pen = _block_pencil(F)
+    assert isinstance(pen, ComplexSystem) and issubclass(Net, ComplexSystem)
+    assert isinstance(pen, GenericMorphism)
+    assert (pen.n, pen.m, repr(pen)) == (5, 2, "Pencil(over F7)")
+    assert pen.member([1, 0]) == pen.generators[0]
+    with pytest.raises(PreconditionError, match="linearly dependent"):
+        Pencil(F, pen.generators[0], pen.generators[0])
+    with pytest.raises(PreconditionError, match="expected 2 generators"):
+        Pencil(F, *pen.generators, pen.generators[0])
+    with pytest.raises(PreconditionError, match="base field"):
+        Pencil(PrimeField(11), *pen.generators)
+    with pytest.raises(PreconditionError, match="zero vector"):
+        pen.member([0, 0])
 
 
 def test_random_pencil_roots_counted_with_multiplicity():
@@ -272,8 +306,8 @@ def test_alpha_invariant_under_generator_change():
     F = PrimeField(13)
     pen = _block_pencil(F)
     rep1 = alpha(pen)
-    g1 = pen.member(1, 4)
-    g2 = pen.member(2, 3)
+    g1 = pen.member([1, 4])
+    g2 = pen.member([2, 3])
     rep2 = alpha(Pencil(F, g1, g2))
     assert {tuple(tuple(x.v for x in r) for r in l.rows) for l in rep1.lines} == {
         tuple(tuple(x.v for x in r) for r in l.rows) for l in rep2.lines
