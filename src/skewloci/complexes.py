@@ -29,7 +29,7 @@ from .linalg import (
     zeros,
 )
 from .polys import MPoly
-from .projective import Subspace, join, meet, subspace_points
+from .projective import Subspace, is_decomposable, join, meet, subspace_points
 
 GENERAL = "general"
 SPECIAL_FIRST = "special-first-type"
@@ -318,10 +318,8 @@ def fiber_meet_report(field: Field, l1: Subspace, l2: Subspace) -> dict:
 
 def fiber_rank2_points(field: Field, line: Subspace):
     """Rational points of the fiber whose skew form has rank exactly 2."""
-    fib = special_fiber(field, line)
-    for coeffs in subspace_points(fib):
-        A = skew_from_pairs(field, coeffs)
-        if rank(field, A) == 2:
+    for coeffs in subspace_points(special_fiber(field, line)):
+        if is_decomposable(field, coeffs):
             yield coeffs
 
 

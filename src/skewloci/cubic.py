@@ -245,11 +245,6 @@ def _smoothness_search(C: PlaneCubic, seed: int) -> SmoothnessReport:
     return SmoothnessReport(True, certificate=search.certificate)
 
 
-def is_smooth(C: PlaneCubic, seed: int = 0) -> SmoothnessReport:
-    """Whether the cubic has no singular point over the algebraic closure."""
-    return C.smoothness(seed=seed)
-
-
 class SectionPoint:
     """A point of an intersection divisor, tagged with its field of definition."""
 

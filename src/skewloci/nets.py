@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import Poly, factor, roots
+from .fields import Poly, factor, poly_gcd, roots
 from .linalg import (
     PAIRS,
     kernel,
@@ -41,10 +41,9 @@ from .linalg import (
     rank,
     sub_pfaffians_6,
 )
-from .polys import MPoly, common_projective_zero
+from .polys import MPoly, binary_form_to_poly, common_projective_zero
 from .projective import (
     Subspace,
-    join,
     line_through,
     meet,
     pluecker_of_line,
@@ -57,9 +56,9 @@ EXHAUSTIVE_PRIME_CAP = 11
 SCAN_CHUNK = 1 << 14
 
 
-def _form_value(field, A, u, v):
-    Av = mat_vec(A, v)
-    return sum((x * y for x, y in zip(u, Av)), start=field.zero)
+def _form_value(A, x, y, zero):
+    """x^T A y for a skew A; x, y hold scalars or binary forms (x forms if y holds forms)."""
+    return sum(((x[i] * y[j] - x[j] * y[i]) * A[i][j] for i, j in PAIRS), start=zero)
 
 
 class Net(ComplexSystem):
@@ -395,13 +394,12 @@ def degree_probe(net: Net, trials: int = 20, seed: int = 0) -> DegreeProbeReport
 class DirectrixReport:
     """Unisecant planes of the scroll, with the fibers used to find them."""
 
-    __slots__ = ("planes", "fibers", "infinite_family", "witness")
+    __slots__ = ("planes", "fibers", "infinite_family")
 
-    def __init__(self, planes, fibers, infinite_family, witness):
+    def __init__(self, planes, fibers, infinite_family):
         self.planes = planes
         self.fibers = fibers
         self.infinite_family = infinite_family
-        self.witness = witness
 
     def __repr__(self):
         return f"DirectrixReport({len(self.planes)} planes)"
@@ -424,24 +422,50 @@ def _fiber_triple(net: Net):
 def _isotropic_solutions(field, mats, p1, fib):
     """Points p of the fiber with A_k(p1, p) = 0 for all k; None means all of them."""
     u, v = fib.rows
-    Srows = [
-        [_form_value(field, A, p1, u), _form_value(field, A, p1, v)] for A in mats
-    ]
-    kern = kernel(field, Srows)
-    if len(kern) == 0:
-        return []
+    rows = [[_form_value(A, p1, w, field.zero) for w in (u, v)] for A in mats]
+    kern = kernel(field, rows)
     if len(kern) == 2:
         return None
-    a, b = kern[0]
-    return [[a * x + b * y for x, y in zip(u, v)]]
+    return [[a * x + b * y for x, y in zip(u, v)] for a, b in kern]
+
+
+def _partner_maps(mats, X, fib, zero):
+    """Per nonzero row (a, b) = (A(X, u), A(X, v)): the map X -> b u - a v into fib."""
+    u, v = fib.rows
+    rows = [[_form_value(A, X, w, zero) for w in (u, v)] for A in mats]
+    return [[b * x - a * y for x, y in zip(u, v)] for a, b in rows
+            if not (a.is_zero() and b.is_zero())]
+
+
+def _plane_points(field, mats, f1, f2, f3):
+    """The points of f1 where a plane can meet it, in subspace_points order.
+
+    For p = s u + t v and partner maps P2, P3 onto f2, f3, every binary
+    quadratic A_j(P2(p), P3(p)) vanishes at a plane point (so does one whose
+    row vanishes there): the candidates are the base-field roots of their
+    gcd, (0:1) last.  None when every quadratic vanishes identically.
+    """
+    u, v = f1.rows
+    zero = MPoly.zero(field, 2)
+    X = [MPoly.variable(field, 2, 0) * a + MPoly.variable(field, 2, 1) * b
+         for a, b in zip(u, v)]
+    g, drop = None, None
+    for P2 in _partner_maps(mats, X, f2, zero):
+        for P3 in _partner_maps(mats, X, f3, zero):
+            for Q in (_form_value(A, P2, P3, zero) for A in mats):
+                if not Q.is_zero():
+                    p, d = binary_form_to_poly(Q, 0, 1)
+                    g, drop = (p, d) if g is None else (poly_gcd(g, p), min(drop, d))
+    if g is None:
+        return None
+    params = [(field.one, x) for x, _ in roots(g).pairs] if g.degree >= 1 else []
+    params += [(field.zero, field.one)] if drop > 0 else []
+    return [[a * x + b * y for x, y in zip(u, v)] for a, b in params]
 
 
 def _plane_is_isotropic(field, mats, basis):
-    for x, y in itertools.combinations(basis, 2):
-        for A in mats:
-            if not _form_value(field, A, x, y).is_zero():
-                return False
-    return True
+    pairs = itertools.combinations(basis, 2)
+    return all(_form_value(A, x, y, field.zero).is_zero() for x, y in pairs for A in mats)
 
 
 def _verify_plane_lines(net: Net, plane: Subspace, rng, samples=20):
@@ -468,12 +492,17 @@ def _verify_plane_lines(net: Net, plane: Subspace, rng, samples=20):
 
 
 def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
-    """All planes whose lines belong to every complex of the net.
+    """All rational planes whose lines belong to every complex of the net.
 
-    Candidates are generated from one point on each of three disjoint fibers,
-    with the bilinear isotropy system solved fiber by fiber; every plane is
-    re-verified on 20 sampled lines.  A solution pencil (instead of a point)
-    on some fiber raises the infinite-family flag with its witness.
+    The planes meet the first of three disjoint fibers f1, f2, f3 at the
+    roots of one binary quadratic (_plane_points).  At each root p1 the
+    partners on f2 and f3 solve the isotropy system; where p1 is orthogonal
+    to a whole fiber, its partner there is the other partner's.  Where the
+    three are collinear, the isotropic planes through the line p1 p2 lie in
+    the kernel N of the six forms A_k(p1, .), A_k(p2, .), so the plane is N
+    when dim N = 3.  Every plane is checked isotropic and on 20 sampled lines.
+    infinite_family: the quadratics vanish identically, dim N >= 4, or a
+    whole fiber of partners completes a plane.
     """
     field = net.field
     if field.order is None:
@@ -483,61 +512,38 @@ def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
     rng = random.Random(seed)
     planes = []
     infinite = False
-    witness = None
 
-    def consider(p1, p2, p3):
-        nonlocal infinite, witness
-        for A in mats:
-            if not _form_value(field, A, p2, p3).is_zero():
-                return
-        W = Subspace(field, 6, [p1, p2, p3])
-        if W.dim == 3:
-            if not _plane_is_isotropic(field, mats, W.rows):
-                return
-            if W not in planes:
-                if not _verify_plane_lines(net, W, rng):
-                    raise InconsistencyError(
-                        "candidate plane failed the sampled-line verification"
-                    )
-                planes.append(W)
+    def add(W):
+        if W in planes or not _plane_is_isotropic(field, mats, W.rows):
             return
-        # collapsed span: complete the line to isotropic planes through it
-        rows = [mat_vec(A, p) for A in mats for p in (p1, p2)]
-        N = kernel(field, rows)
-        if len(N) < 3:
-            return
-        NS = Subspace(field, 6, N)
-        L = Subspace(field, 6, [p1, p2])
-        if L.dim != 2:
-            return
-        for x in subspace_points(NS):
-            X = Subspace(field, 6, [x])
-            if meet(L, X).dim != 0:
-                continue
-            W2 = join(L, X)
-            if W2.dim != 3 or not _plane_is_isotropic(field, mats, W2.rows):
-                continue
-            if W2 not in planes:
-                if not _verify_plane_lines(net, W2, rng):
-                    raise InconsistencyError(
-                        "candidate plane failed the sampled-line verification"
-                    )
-                planes.append(W2)
+        if not _verify_plane_lines(net, W, rng):
+            raise InconsistencyError("candidate plane failed the sampled-line verification")
+        planes.append(W)
 
-    for p1 in subspace_points(f1):
+    points = _plane_points(field, mats, f1, f2, f3)
+    if points is None:
+        return DirectrixReport(planes, [f1, f2, f3], True)
+    for p1 in points:
         sol2 = _isotropic_solutions(field, mats, p1, f2)
         sol3 = _isotropic_solutions(field, mats, p1, f3)
+        if sol2 is None and sol3:
+            sol2 = _isotropic_solutions(field, mats, sol3[0], f2)
+        elif sol3 is None and sol2:
+            sol3 = _isotropic_solutions(field, mats, sol2[0], f3)
         if sol2 is None or sol3 is None:
             infinite = True
-            witness = (tuple(p1), f2 if sol2 is None else f3)
-            sol2 = list(subspace_points(f2)) if sol2 is None else sol2
-            sol3 = list(subspace_points(f3)) if sol3 is None else sol3
+            continue
         for p2 in sol2:
             for p3 in sol3:
-                consider(p1, p2, p3)
-    if len(planes) > 6:
-        infinite = True
-    return DirectrixReport(planes, [f1, f2, f3], infinite, witness)
+                W = Subspace(field, 6, [p1, p2, p3])
+                if W.dim < 3:
+                    # collapsed span: the isotropic planes through p1 p2 lie in N
+                    N = kernel(field, [mat_vec(A, p) for A in mats for p in (p1, p2)])
+                    W = Subspace(field, 6, N)
+                    infinite = infinite or W.dim > 3
+                if W.dim == 3:
+                    add(W)
+    return DirectrixReport(planes, [f1, f2, f3], infinite)
 
 
 class RestrictedFiberReport:

@@ -29,9 +29,8 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import Field, identity_embedding, roots
-from .linalg import rank, skew_from_pairs
 from .polys import binary_form_to_poly
-from .projective import Subspace, join, meet, random_vector, subspace_points
+from .projective import Subspace, is_decomposable, join, meet, random_vector, subspace_points
 
 
 class Pencil(ComplexSystem):
@@ -219,11 +218,7 @@ def rank2_points_on_dual_line(field: Field, L: Subspace):
         raise UnsupportedFieldError("pointwise scan needs a finite field")
     if L.n != 15 or L.dim != 2:
         raise PreconditionError("expected a line in the dual space")
-    hits = []
-    for coeffs in subspace_points(L):
-        if rank(field, skew_from_pairs(field, coeffs)) == 2:
-            hits.append(coeffs)
-    return hits
+    return [c for c in subspace_points(L) if is_decomposable(field, c)]
 
 
 def pencils_with_singular_lines(l1: Subspace, l2: Subspace, l3: Subspace,

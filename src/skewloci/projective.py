@@ -139,11 +139,13 @@ def normalize_projective(vec):
 def is_decomposable(field: Field, p15) -> bool:
     """Whether 15 coordinates lie on the Grassmannian of lines in P^5.
 
-    The criterion is that the associated skew matrix has rank at most 2.
+    The criterion is that the vector is nonzero and every three-term
+    Pluecker relation vanishes: these are the 4x4 sub-Pfaffians of the
+    associated skew matrix, so together they say its rank is exactly 2.
     """
     if all(field(c).is_zero() for c in p15):
         return False
-    return rank(field, skew_from_pairs(field, p15)) <= 2
+    return all(r.is_zero() for r in pluecker_relations(field, p15))
 
 
 def pluecker_relations(field: Field, p15):

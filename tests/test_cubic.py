@@ -17,7 +17,6 @@ from skewloci.cubic import (
     class_zero,
     halvings,
     hyperplane_class,
-    is_smooth,
     line_section,
     neg_point,
     polar_contact,
@@ -44,14 +43,14 @@ def test_product_of_lines_is_singular():
     # in the singular-point search is a nonzero constant
     for F, coeffs in ((PrimeField(7), [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
                       (PrimeField(3), [0, 0, 0, 0, 0, 0, 1, 2, 2, 0])):
-        rep = is_smooth(PlaneCubic(F, coeffs))
+        rep = PlaneCubic(F, coeffs).smoothness()
         assert not rep.smooth
         # witness is a common zero of all partials: a coordinate vertex
         assert sum(1 for x in rep.witness if x.is_zero()) == 2
 
 
 def test_anchor_curve_smooth_over_f7():
-    assert is_smooth(_anchor(PrimeField(7))).smooth
+    assert _anchor(PrimeField(7)).smoothness().smooth
 
 
 def test_line_at_infinity_section():
@@ -273,7 +272,7 @@ def test_points_by_lines_on_degenerate_lines():
     F3 = PrimeField(3)
     C = PlaneCubic(F3, [1, 0, 0, 0, 0, 0, 1, 0, 0, 2])
     assert len(C.rational_points()) == 4
-    rep = is_smooth(C)
+    rep = C.smoothness()
     assert not rep.smooth and rep.certificate == "vanishing-gradient"
     assert rep.witness == _scan_points(C)[0]
 
@@ -312,7 +311,7 @@ def test_group_law_on_random_smooth_cubics(p, coeffs, rng):
     F = PrimeField(p)
     assume(any(c % p for c in coeffs))
     C = PlaneCubic(F, coeffs + [0], base_point=(0, 0, 1))
-    assume(is_smooth(C).smooth)
+    assume(C.smoothness().smooth)
     pts = C.rational_points()
     for _ in range(4):
         P, Q, R = (rng.choice(pts) for _ in range(3))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from skewloci import cubic as cubic_module
+from skewloci import nets as nets_module
 from skewloci import selftest
 from skewloci.complexes import GenericMorphism
 from skewloci.errors import (
@@ -14,6 +15,7 @@ from skewloci.fields import QQ, PrimeField
 from skewloci.linalg import PAIRS, kernel, mat_vec, pfaffian, rank, sub_pfaffians_6
 from skewloci.nets import (
     Net,
+    _fiber_triple,
     count_scroll_points,
     degree_probe,
     directrix_planes,
@@ -27,7 +29,7 @@ from skewloci.nets import (
     type2_singular_locus_check,
     x_membership,
 )
-from skewloci.projective import Subspace, meet, subspace_points
+from skewloci.projective import Subspace, join, meet, subspace_points
 
 
 def _pairs_vec(**kw):
@@ -335,6 +337,97 @@ def test_directrix_planes_of_general_net():
                 continue
             line = line_through(F, u, v)
             assert all(g.contains_line(line) for g in net.generators)
+
+
+def _directrix_planes_by_points(net):
+    """The rational isotropic planes by trying every point of the first fiber.
+
+    Each point's partners on the other two fibers solve the isotropy system
+    (every point of a fiber when the system vanishes).  Where the span of a
+    point and its partners collapses to a line L, every point of the kernel
+    N of the six forms through L is tried.
+    """
+    field = net.field
+    f1, f2, f3 = _fiber_triple(net)
+    mats = net.matrices
+    planes = []
+
+    def form(A, x, y):
+        return sum((a * b for a, b in zip(x, mat_vec(A, y))), start=field.zero)
+
+    def isotropic(basis):
+        return all(form(A, x, y).is_zero() for x in basis for y in basis for A in mats)
+
+    def partners(p, fib):
+        u, v = fib.rows
+        kern = kernel(field, [[form(A, p, u), form(A, p, v)] for A in mats])
+        if len(kern) == 2:
+            return list(subspace_points(fib))
+        return [[a * x + b * y for x, y in zip(u, v)] for a, b in kern]
+
+    def consider(p1, p2, p3):
+        if not isotropic([p2, p3]):
+            return
+        W = Subspace(field, 6, [p1, p2, p3])
+        candidates = [W]
+        if W.dim < 3:
+            rows = [mat_vec(A, p) for A in mats for p in (p1, p2)]
+            N = Subspace(field, 6, kernel(field, rows))
+            L = Subspace(field, 6, [p1, p2])
+            points = subspace_points(N) if N.dim >= 3 else []
+            candidates = [join(L, X) for X in (Subspace(field, 6, [x]) for x in points)
+                          if meet(L, X).dim == 0]
+        for W in candidates:
+            if W.dim == 3 and isotropic(W.rows) and W not in planes:
+                planes.append(W)
+
+    for p1 in subspace_points(f1):
+        for p2 in partners(p1, f2):
+            for p3 in partners(p1, f3):
+                consider(p1, p2, p3)
+    return planes
+
+
+# the nets include collapsed spans (F7 seed 3, F11 seeds 0 and 3) and planes
+# through the root (0:1) of the first fiber (F7 seed 3, F13 seed 3)
+@pytest.mark.parametrize(
+    "q, seed",
+    [(7, s) for s in range(9)] + [(11, s) for s in range(6)] + [(13, 3)]
+    + list(selftest.DIRECTRIX_NETS),
+)
+def test_directrix_planes_match_the_point_search(q, seed):
+    net = selftest.seeded_net(PrimeField(q), seed)
+    assert directrix_planes(net, seed=0).planes == _directrix_planes_by_points(net)
+
+
+@pytest.mark.parametrize("q, seed", [(11, 5), (23, 3), (23, 8)])
+def test_two_planes_are_not_an_infinite_family(q, seed):
+    # the first fiber has a point orthogonal to a whole second fiber
+    rep = directrix_planes(selftest.seeded_net(PrimeField(q), seed), seed=0)
+    assert len(rep.planes) == 2
+    assert not rep.infinite_family
+
+
+def test_directrix_planes_enumerate_no_fiber(monkeypatch):
+    calls = []
+    real = nets_module.subspace_points
+
+    def counted(space):
+        calls.append(space)
+        return real(space)
+
+    monkeypatch.setattr(nets_module, "subspace_points", counted)
+    for q, seed in ((11, 0), selftest.DIRECTRIX_NETS[0]):
+        rep = directrix_planes(selftest.seeded_net(PrimeField(q), seed), seed=0)
+        assert len(rep.planes) == 2
+    assert calls == []
+
+
+def test_directrix_planes_of_a_rank2_net_are_an_infinite_family():
+    # every binary quadratic vanishes identically on the first fiber
+    rep = directrix_planes(Net.from_pair_vectors(PrimeField(7), TYPE2_TRIPLES), seed=0)
+    assert rep.planes == []
+    assert rep.infinite_family
 
 
 def test_restricted_fiber_system_has_dim_three():

@@ -4,7 +4,7 @@ import pytest
 
 from skewloci.errors import PreconditionError
 from skewloci.fields import QQ, PrimeField
-from skewloci.linalg import PAIRS
+from skewloci.linalg import PAIRS, rank, skew_from_pairs
 from skewloci.projective import (
     Subspace,
     is_decomposable,
@@ -90,6 +90,19 @@ def test_pluecker_of_line_well_defined():
         assert normalize_projective(p) == normalize_projective(q)
         assert all(x.is_zero() for x in pluecker_relations(F, p))
         assert is_decomposable(F, p)
+
+
+@pytest.mark.parametrize("F", [PrimeField(7), QQ], ids=["F7", "Q"])
+def test_decomposable_iff_skew_rank_two(F):
+    # sums of k wedge products: skew rank 2k at most, rank 2 for most k = 1
+    rng = random.Random(4)
+    for k in range(4):
+        for _ in range(10):
+            p = [F.zero] * 15
+            for _ in range(k):
+                u, v = ([F.random(rng) for _ in range(6)] for _ in range(2))
+                p = [c + u[i] * v[j] - u[j] * v[i] for c, (i, j) in zip(p, PAIRS)]
+            assert is_decomposable(F, p) == (rank(F, skew_from_pairs(F, p)) == 2)
 
 
 def test_line_from_pluecker_roundtrip():
