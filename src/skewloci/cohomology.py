@@ -71,20 +71,6 @@ def chi_omega(n: int, p: int, k: int) -> int:
     return sum((-1) ** q * vec[q] for q in range(n + 1))
 
 
-def koszul_chi_omega(n: int, p: int, k: int) -> int:
-    """The same Euler characteristic from the truncated Euler sequence.
-
-    Independent of bott: peels exterior powers of the rank n+1 trivial
-    bundle, leaving an alternating sum of line bundle characteristics.
-    """
-    if not 0 <= p <= n:
-        raise PreconditionError("cotangent power out of range")
-    return sum(
-        (-1) ** i * binom(n + 1, p - i) * chi_structure(n, k - p + i)
-        for i in range(p + 1)
-    )
-
-
 def en_chi_ideal(n: int, m: int, p: int) -> int:
     """Euler characteristic of the twisted ideal sheaf from the resolution."""
     if not 2 <= m <= n:

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .fields import (
     Embedding,
+    FieldElement,
     Poly,
     compose_embeddings,
     identity_embedding,
@@ -39,19 +40,43 @@ MONOMIALS = (
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
-def _monomial_value(pt, exps):
-    field = pt[0].field
-    out = field.one
-    for x, e in zip(pt, exps):
-        for _ in range(e):
-            out = out * x
+def _powers(field, pt, top):
+    """Raw powers x^1..x^top of each coordinate of pt, unwrapped once.
+
+    Index 0 is never read: a zero exponent contributes no factor.
+    """
+    mul = field._mul
+    out = []
+    for x in field._unwrap(pt):
+        pw = [None, x]
+        for _ in range(top - 1):
+            pw.append(mul(pw[-1], x))
+        out.append(pw)
     return out
 
 
-class PlaneCubic:
-    """A ternary cubic form with an optional rational base point."""
+def _form_value(field, terms, powers):
+    """Raw value of the form with raw terms (c, exps) at the tabulated powers."""
+    add, mul = field._add, field._mul
+    acc = field.zero.v
+    for c, exps in terms:
+        for pw, e in zip(powers, exps):
+            if e:
+                c = mul(c, pw[e])
+        acc = add(acc, c)
+    return acc
 
-    __slots__ = ("field", "coeffs", "base_point", "_smooth", "_points", "_tangent_third")
+
+class PlaneCubic:
+    """A ternary cubic form with an optional rational base point.
+
+    evaluate and gradient run on raw values: the nonzero terms of the form
+    and of its three partial derivatives are tabulated once, in _terms and
+    _grad_terms, as (raw coefficient, exponents).
+    """
+
+    __slots__ = ("field", "coeffs", "base_point", "_smooth", "_points", "_tangent_third",
+                 "_two_torsion", "_terms", "_grad_terms")
 
     def __init__(self, field, coeffs, base_point=None):
         if len(coeffs) != 10:
@@ -62,9 +87,26 @@ class PlaneCubic:
         )
         if all(c.is_zero() for c in self.coeffs):
             raise DegenerateInputError("the cubic form is identically zero")
+        raw = field._unwrap(self.coeffs)
+        self._terms = tuple(
+            (c, exps) for c, exps in zip(raw, MONOMIALS) if not field._is_zero(c)
+        )
+        grad = []
+        for i in range(3):
+            terms = []
+            for c, exps in self._terms:
+                if exps[i]:
+                    d = field._mul(c, field(exps[i]).v)
+                    if not field._is_zero(d):
+                        lowered = list(exps)
+                        lowered[i] -= 1
+                        terms.append((d, tuple(lowered)))
+            grad.append(tuple(terms))
+        self._grad_terms = tuple(grad)
         self._smooth = None
         self._points = None
         self._tangent_third = None
+        self._two_torsion = None
         if base_point is None:
             self.base_point = None
         else:
@@ -77,25 +119,16 @@ class PlaneCubic:
             self.base_point = pt
 
     def evaluate(self, pt):
-        out = self.field.zero
-        for c, exps in zip(self.coeffs, MONOMIALS):
-            if c.is_zero():
-                continue
-            out = out + c * _monomial_value(pt, exps)
-        return out
+        field = self.field
+        return FieldElement(field, _form_value(field, self._terms, _powers(field, pt, 3)))
 
     def gradient(self, pt):
-        out = []
-        for i in range(3):
-            acc = self.field.zero
-            for c, exps in zip(self.coeffs, MONOMIALS):
-                if c.is_zero() or exps[i] == 0:
-                    continue
-                lowered = list(exps)
-                lowered[i] -= 1
-                acc = acc + c * self.field(exps[i]) * _monomial_value(pt, tuple(lowered))
-            out.append(acc)
-        return tuple(out)
+        field = self.field
+        powers = _powers(field, pt, 2)
+        return tuple(
+            FieldElement(field, _form_value(field, terms, powers))
+            for terms in self._grad_terms
+        )
 
     def contains(self, pt):
         return self.evaluate(pt).is_zero()
@@ -120,7 +153,8 @@ class PlaneCubic:
 
     def anchored(self, base_point):
         """The same curve with another base point.  The point list and the
-        smoothness verdict do not depend on the base point and are shared."""
+        smoothness verdict do not depend on the base point and are shared;
+        the 2-torsion classes do, and are not."""
         C = PlaneCubic(self.field, self.coeffs, base_point=base_point)
         C._points, C._smooth = self._points, self._smooth
         return C
@@ -518,11 +552,16 @@ def _halve(C: PlaneCubic, R):
 
 
 def two_torsion(C: PlaneCubic) -> TwoTorsionReport:
-    """All rational 2-torsion divisor classes, from the tangents through O*O."""
-    classes = [DivisorClass(C, 0, P) for P in _halve(C, _require_base(C))]
-    if len(classes) not in (1, 2, 4):
-        raise InconsistencyError("2-torsion subgroup has impossible order")
-    return TwoTorsionReport(classes, len(classes) == 4)
+    """All rational 2-torsion divisor classes, from the tangents through O*O.
+
+    The report is computed once per anchored curve and kept in C._two_torsion.
+    """
+    if C._two_torsion is None:
+        classes = [DivisorClass(C, 0, P) for P in _halve(C, _require_base(C))]
+        if len(classes) not in (1, 2, 4):
+            raise InconsistencyError("2-torsion subgroup has impossible order")
+        C._two_torsion = TwoTorsionReport(classes, len(classes) == 4)
+    return C._two_torsion
 
 
 def halvings(C: PlaneCubic, Q: DivisorClass):

@@ -183,6 +183,28 @@ class Field:
         raise NotImplementedError
 
     # raw-value arithmetic -------------------------------------------------
+    def _unwrap(self, xs) -> list:
+        """The raw values of xs, read once at the entry of a raw-value loop.
+
+        Each x must be an element of this field or an int; an element of any
+        other field is refused, as FieldElement arithmetic refuses it, so an
+        F_p entry never slips into an F_{p^k} loop.
+        """
+        out = []
+        for x in xs:
+            if type(x) is FieldElement:
+                if x.field is not self and x.field != self:
+                    raise PreconditionError(
+                        "field mismatch: %r vs %r (use an explicit embedding)"
+                        % (self, x.field)
+                    )
+                out.append(x.v)
+            elif isinstance(x, int):
+                out.append(self(x).v)
+            else:
+                raise PreconditionError(f"{x!r} is not an element of {self.short()}")
+        return out
+
     def _add(self, a, b):
         raise NotImplementedError
 
@@ -574,6 +596,18 @@ class Poly:
         self.c = tuple(cs)
 
     @classmethod
+    def _from_raw(cls, field: Field, vals) -> "Poly":
+        """The polynomial with these raw coefficients, already in field."""
+        is_zero = field._is_zero
+        n = len(vals)
+        while n and is_zero(vals[n - 1]):
+            n -= 1
+        f = object.__new__(cls)
+        f.field = field
+        f.c = tuple([FieldElement(field, v) for v in vals[:n]])
+        return f
+
+    @classmethod
     def x(cls, field: Field) -> "Poly":
         return cls(field, [0, 1])
 
@@ -596,8 +630,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = self.lead().inverse()
-        return Poly(self.field, [x * inv for x in self.c])
+        return self * self.lead().inverse()
 
     def __add__(self, other):
         a, b = self.c, other.c
@@ -615,17 +648,23 @@ class Poly:
         return Poly(self.field, [-x for x in self.c])
 
     def __mul__(self, other):
+        field = self.field
+        mul = field._mul
         if isinstance(other, FieldElement):
-            return Poly(self.field, [x * other for x in self.c])
+            (o,) = field._unwrap((other,))
+            return Poly._from_raw(field, [mul(x.v, o) for x in self.c])
         if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        out = [self.field.zero] * (len(self.c) + len(other.c) - 1)
+            return Poly(field, [])
+        add, is_zero = field._add, field._is_zero
+        b = field._unwrap(other.c)
+        out = [field.zero.v] * (len(self.c) + len(b) - 1)
         for i, x in enumerate(self.c):
-            if x.is_zero():
+            x = x.v
+            if is_zero(x):
                 continue
-            for j, y in enumerate(other.c):
-                out[i + j] = out[i + j] + x * y
-        return Poly(self.field, out)
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+        return Poly._from_raw(field, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -635,20 +674,24 @@ class Poly:
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        field = self.field
         if self.degree < other.degree:
-            return Poly(self.field, []), self
-        rem = list(self.c)
-        dv = other.c
-        inv = other.lead().inverse()
-        qn = len(rem) - len(dv) + 1
-        quot = [self.field.zero] * qn
-        for i in range(qn - 1, -1, -1):
-            coef = rem[i + len(dv) - 1] * inv
+            return Poly(field, []), self
+        add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
+        rem = [x.v for x in self.c]
+        dv = field._unwrap(other.c)
+        d = len(dv) - 1
+        inv = field._inv(dv[d])
+        quot = [None] * (len(rem) - d)
+        # each step clears rem[i + d], so only rem[i:i + d] is updated
+        for i in range(len(quot) - 1, -1, -1):
+            coef = mul(rem[i + d], inv)
             quot[i] = coef
-            if not coef.is_zero():
-                for j, y in enumerate(dv):
-                    rem[i + j] = rem[i + j] - coef * y
-        return Poly(self.field, quot), Poly(self.field, rem)
+            if not is_zero(coef):
+                coef = neg(coef)
+                for j in range(d):
+                    rem[i + j] = add(rem[i + j], mul(coef, dv[j]))
+        return Poly._from_raw(field, quot), Poly._from_raw(field, rem[:d])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -663,10 +706,15 @@ class Poly:
         return hash((self.field, self.c))
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        acc = self.field.zero
-        for c in reversed(self.c):
-            acc = acc * x + c
-        return acc
+        field = self.field
+        (x,) = field._unwrap((x,))
+        if not self.c:
+            return field.zero
+        add, mul = field._add, field._mul
+        acc = self.c[-1].v
+        for c in self.c[-2::-1]:
+            acc = add(mul(acc, x), c.v)
+        return FieldElement(field, acc)
 
     def derivative(self) -> "Poly":
         return Poly(self.field, [self.c[i] * i for i in range(1, len(self.c))])

@@ -376,6 +376,9 @@ def series_identities(net: Net, trials: int = 10, seed: int = 0) -> SeriesReport
     the directrix curves in triples whose transported sum is the class of
     two plane sections.  (c) The polar-conic residual at a suitable point
     matches the four double points of the hyperplane series.
+
+    These are the paper's identities on which the construction of the four
+    companion nets rests; this function states them on a given net.
     """
     field = net.field
     if field.order is None:

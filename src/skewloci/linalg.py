@@ -4,6 +4,11 @@ Matrices are plain lists of rows of FieldElement.  Row reduction always
 produces the fully reduced echelon form with unit pivots, so row spaces and
 kernels have canonical bases and can be compared entrywise.
 
+The scalar kernels (rref and the routines built on it, det, mat_vec,
+mat_mul) read the entries' raw values once with Field._unwrap, which refuses
+an entry of another field, loop on raw values through the field's _add,
+_mul, _neg, _inv and _is_zero, and build FieldElements once for the result.
+
 The Pfaffian code is written against generic ring elements (anything with
 +, -, * and is_zero) so the same recursion serves field matrices and
 matrices of polynomials.
@@ -12,6 +17,7 @@ matrices of polynomials.
 from __future__ import annotations
 
 from .errors import PreconditionError
+from .fields import FieldElement
 
 # index pairs (i, j) with i < j for a 6x6 skew matrix, lexicographic
 PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
@@ -34,18 +40,42 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
+def _wrap(field, vals):
+    return [FieldElement(field, v) for v in vals]
+
+
+def _dot(field, a, b):
+    add, mul = field._add, field._mul
+    acc = field.zero.v
+    for x, y in zip(a, b):
+        acc = add(acc, mul(x, y))
+    return acc
+
+
 def mat_mul(A, B):
-    Bt = transpose(B)
-    return [[sum((x * y for x, y in zip(row, col)), start=row[0].field.zero) for col in Bt] for row in A]
+    if not A:
+        return []
+    field = A[0][0].field
+    Bt = [field._unwrap(col) for col in zip(*B)]
+    return [
+        _wrap(field, [_dot(field, row, col) for col in Bt])
+        for row in map(field._unwrap, A)
+    ]
 
 
 def mat_vec(A, v):
-    return [sum((x * y for x, y in zip(row, v)), start=row[0].field.zero) for row in A]
+    if not A:
+        return []
+    field = A[0][0].field
+    v = field._unwrap(v)
+    return _wrap(field, [_dot(field, field._unwrap(row), v) for row in A])
 
 
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
-    R = [list(r) for r in rows]
+def _rref_raw(field, R):
+    """Row-reduce the raw rows R in place; returns (R[:rank], pivots)."""
+    add, mul, neg, inv, is_zero = (
+        field._add, field._mul, field._neg, field._inv, field._is_zero,
+    )
     m = len(R)
     n = len(R[0]) if m else 0
     pivots = []
@@ -53,18 +83,24 @@ def rref(field, rows):
     for c in range(n):
         pr = None
         for i in range(r, m):
-            if not R[i][c].is_zero():
+            if not is_zero(R[i][c]):
                 pr = i
                 break
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
+        # rows r.. vanish left of column c, so only columns c.. change
+        s = inv(R[r][c])
+        head = R[r][:c]
+        tail = [mul(x, s) for x in R[r][c:]]
+        R[r] = head + tail
         for i in range(m):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            if i != r:
+                row = R[i]
+                f = row[c]
+                if not is_zero(f):
+                    f = neg(f)
+                    row[c:] = [add(x, mul(f, y)) for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -72,10 +108,16 @@ def rref(field, rows):
     return R[:r], pivots
 
 
+def rref(field, rows):
+    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
+    R, pivots = _rref_raw(field, [field._unwrap(r) for r in rows])
+    return [_wrap(field, row) for row in R], pivots
+
+
 def rank(field, rows) -> int:
     if not rows:
         return 0
-    return len(rref(field, rows)[1])
+    return len(_rref_raw(field, [field._unwrap(r) for r in rows])[1])
 
 
 def kernel(field, rows):
@@ -83,20 +125,22 @@ def kernel(field, rows):
     if not rows:
         return []
     n = len(rows[0])
-    R, pivots = rref(field, rows)
+    R, pivots = _rref_raw(field, [field._unwrap(r) for r in rows])
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    zero, one, neg = field.zero.v, field.one.v, field._neg
     basis = []
-    for f in free:
-        v = [field.zero] * n
-        v[f] = field.one
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [zero] * n
+        v[f] = one
         for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
+            v[p] = neg(R[r][f])
         basis.append(v)
     if not basis:
         return []
-    out, _ = rref(field, basis)
-    return out
+    out, _ = _rref_raw(field, basis)
+    return [_wrap(field, row) for row in out]
 
 
 def det(field, rows):
@@ -104,27 +148,33 @@ def det(field, rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise PreconditionError("determinant needs a square matrix")
-    R = [list(r) for r in rows]
-    sign = field.one
-    acc = field.one
+    add, mul, neg, inv, is_zero = (
+        field._add, field._mul, field._neg, field._inv, field._is_zero,
+    )
+    R = [field._unwrap(r) for r in rows]
+    acc = field.one.v
     for c in range(n):
         pr = None
         for i in range(c, n):
-            if not R[i][c].is_zero():
+            if not is_zero(R[i][c]):
                 pr = i
                 break
         if pr is None:
             return field.zero
         if pr != c:
             R[c], R[pr] = R[pr], R[c]
-            sign = -sign
-        acc = acc * R[c][c]
-        inv = R[c][c].inverse()
+            acc = neg(acc)
+        piv = R[c][c]
+        acc = mul(acc, piv)
+        s = inv(piv)
+        pivot_tail = R[c][c + 1:]
+        # column c is not read again, so only columns c+1.. are updated
         for i in range(c + 1, n):
-            if not R[i][c].is_zero():
-                f = R[i][c] * inv
-                R[i] = [x - f * y for x, y in zip(R[i], R[c])]
-    return sign * acc
+            row = R[i]
+            if not is_zero(row[c]):
+                f = neg(mul(row[c], s))
+                row[c + 1:] = [add(x, mul(f, y)) for x, y in zip(row[c + 1:], pivot_tail)]
+    return FieldElement(field, acc)
 
 
 def solve(field, A, b):
@@ -132,16 +182,15 @@ def solve(field, A, b):
     if not A:
         return None if any(not y.is_zero() for y in b) else []
     n = len(A[0])
-    aug = [list(row) + [y] for row, y in zip(A, b)]
-    R, pivots = rref(field, aug)
-    for row in R:
-        if all(x.is_zero() for x in row[:n]) and not row[n].is_zero():
-            return None
-    x = [field.zero] * n
+    aug = [field._unwrap(row) + field._unwrap((y,)) for row, y in zip(A, b)]
+    R, pivots = _rref_raw(field, aug)
+    # the rows are reduced, so an inconsistent row has its pivot in column n
+    if pivots and pivots[-1] == n:
+        return None
+    x = [field.zero.v] * n
     for r, p in enumerate(pivots):
-        if p < n:
-            x[p] = R[r][n]
-    return x
+        x[p] = R[r][n]
+    return _wrap(field, x)
 
 
 def random_matrix(field, rng, m, n):

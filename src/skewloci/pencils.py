@@ -28,9 +28,9 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import Field, identity_embedding, roots
+from .fields import identity_embedding, roots
 from .polys import binary_form_to_poly
-from .projective import Subspace, is_decomposable, join, meet, random_vector, subspace_points
+from .projective import Subspace, join, meet, random_vector
 
 
 class Pencil(ComplexSystem):
@@ -212,23 +212,18 @@ def sigma_family(l1: Subspace, l2: Subspace, l3: Subspace) -> SigmaFamily:
     return SigmaFamily(h12, h13, h23, sigma, dual_lines)
 
 
-def rank2_points_on_dual_line(field: Field, L: Subspace):
-    """Rank-2 points among the q+1 points of a dual projective line."""
-    if field.order is None:
-        raise UnsupportedFieldError("pointwise scan needs a finite field")
-    if L.n != 15 or L.dim != 2:
-        raise PreconditionError("expected a line in the dual space")
-    return [c for c in subspace_points(L) if is_decomposable(field, c)]
-
-
 def pencils_with_singular_lines(l1: Subspace, l2: Subspace, l3: Subspace,
                                 kind: str = "a", seed: int = 0) -> Pencil:
     """Sample a pencil whose singular behaviour is pinned by the triple.
 
-    Kind "a" picks a line of the sigma plane avoiding the three pairwise
-    complexes: its singular lines are exactly the three inputs.  Kind "b"
-    picks a line through one pairwise complex and a point of the third
-    line's fiber: it always contains a second-type member.
+    This states the paper's description of the fibre of alpha (pencil ->
+    triple of singular lines) over a general triple: the pencils with
+    exactly these singular lines are the lines of the plane sigma spanned
+    by the three pairwise joins' complexes that avoid its three vertices.
+    Kind "a" picks such a line, and _assert_type_a certifies that its
+    singular lines are exactly the three inputs.  Kind "b" picks a line
+    through one vertex and a point of the third line's fiber: it always
+    contains a second-type member, the degenerate case of the paper.
     """
     field = l1.field
     fam = sigma_family(l1, l2, l3)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skewloci import cubic as cubic_module
 from skewloci.cubic import (
     DivisorClass,
     PlaneCubic,
@@ -163,6 +164,28 @@ def test_halvings_of_zero_are_torsion():
     C = _anchor(F)
     sols = halvings(C, class_zero(C))
     assert set(sols) == {c.rep for c in two_torsion(C).classes}
+
+
+def test_two_torsion_is_computed_once_per_anchored_curve(monkeypatch):
+    F = PrimeField(13)
+    C = _anchor(F)
+    calls = []
+    halve = cubic_module._halve
+    monkeypatch.setattr(cubic_module, "_halve", lambda C, R: calls.append(R) or halve(C, R))
+    rep = two_torsion(C)
+    assert two_torsion(C) is rep and len(calls) == 1
+    # each nonempty halving checks its count against the kept report
+    P0 = C.rational_points()[3]
+    for _ in range(3):
+        assert len(halvings(C, class_of(C, [(P0, 2), (C.base_point, -2)]))) == 4
+    assert len(calls) == 4
+    # the classes depend on the base point, so another anchoring recomputes
+    O2 = next(P for P in C.rational_points() if P != C.base_point)
+    C2 = C.anchored(O2)
+    rep2 = two_torsion(C2)
+    assert rep2 is not rep and len(calls) == 5
+    assert all(c.curve is C2 for c in rep2.classes)
+    assert C._two_torsion is rep
 
 
 def test_halvings_planted_and_coset_size():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewloci.cubic import PlaneCubic
 from skewloci.errors import PreconditionError, UnsupportedFieldError
 from skewloci.fields import (
     QQ,
@@ -25,6 +26,7 @@ from skewloci.fields import (
     roots,
     to_wire,
 )
+from skewloci.linalg import det, kernel, mat_mul, mat_vec, rank, rref, solve
 
 
 def test_prime_field_basic_arithmetic():
@@ -422,6 +424,32 @@ def test_cross_field_mixing_still_raises():
     assert F7(2) != F49(2)
     # the embedding is the way in
     assert emb(F7(2)) + F49(2) == F49(4)
+    # the raw-value kernels refuse what element arithmetic refuses: an F7
+    # entry in an F49 matrix, polynomial or point, and rows over F7 handed
+    # to a routine told to work over F11
+    mixed = [[F49.gen(), F49(1)], [F7(3), F49(2)]]
+    for call in (lambda: rref(F49, mixed), lambda: kernel(F49, mixed),
+                 lambda: rank(F49, mixed), lambda: det(F49, mixed),
+                 lambda: solve(F49, mixed, [F49(1), F49(1)]),
+                 lambda: mat_vec(mixed, [F49(1), F49(1)]),
+                 lambda: mat_mul([[F49(1), F49(1)]], mixed),
+                 lambda: rank(F11, [[F7(1), F7(2)], [F7(3), F7(4)]]),
+                 lambda: kernel(F11, [[F7(1), F7(2)]])):
+        with pytest.raises(PreconditionError):
+            call()
+    f = Poly(F49, [F49.gen(), 1, 1])
+    g = Poly(F7, [1, 2])
+    C = PlaneCubic(F49, [1, 0, 0, 0, 0, 0, 1, 0, 0, 1])
+    for call in (lambda: f(F7(3)), lambda: g(F49.gen()), lambda: f * g, lambda: g * f,
+                 lambda: divmod(f, g), lambda: divmod(g * g, f), lambda: f * F7(2),
+                 lambda: C.evaluate([F7(1), F49(1), F49(0)]),
+                 lambda: C.gradient([F49(1), F49(1), F11(0)]),
+                 lambda: PlaneCubic(F49, [F7(1)] + [0] * 9)):
+        with pytest.raises(PreconditionError):
+            call()
+    # within one field the same calls answer, with ints read as field elements
+    assert rank(F49, [[F49.gen(), 1], [F49(3), F49(2)]]) == 2
+    assert f(F49(0)) == F49.gen() and g(2) == F7(5)
 
 
 def test_ext_fields_with_one_modulus_compare_and_mix_as_equal():

@@ -21,17 +21,18 @@ from skewloci.pencils import (
     classify_configuration,
     pencil_singular_elements,
     pencils_with_singular_lines,
-    rank2_points_on_dual_line,
     sigma_family,
     trisecant,
 )
 from skewloci.projective import (
     Subspace,
+    is_decomposable,
     join,
     line_through,
     map_subspace,
     meet,
     random_vector,
+    subspace_points,
 )
 
 
@@ -230,6 +231,11 @@ def test_trisecant_rejects_case_1():
         trisecant(_basis_line(F, 0, 1), _basis_line(F, 2, 3), _basis_line(F, 4, 5))
 
 
+def _rank2_points(field, L):
+    """The decomposable complexes among the q+1 points of a dual line."""
+    return [c for c in subspace_points(L) if is_decomposable(field, c)]
+
+
 def test_sigma_family_block_triple():
     F = PrimeField(7)
     l1, l2, l3 = _basis_line(F, 0, 1), _basis_line(F, 2, 3), _basis_line(F, 4, 5)
@@ -240,8 +246,7 @@ def test_sigma_family_block_triple():
     assert [x.v for x in fam.h23.coeffs()] == _pairs_vec(p01=1)
     assert fam.sigma.proj_dim == 2
     for L in fam.dual_lines:
-        pts = rank2_points_on_dual_line(F, L)
-        assert len(pts) == 2
+        assert len(_rank2_points(F, L)) == 2
 
 
 def test_sigma_family_random_case1_triples():
@@ -264,7 +269,7 @@ def test_sigma_family_random_case1_triples():
         fam = sigma_family(*ls)
         assert fam.sigma.proj_dim == 2
         for L in fam.dual_lines:
-            assert len(rank2_points_on_dual_line(F, L)) == 2
+            assert len(_rank2_points(F, L)) == 2
         done += 1
 
 

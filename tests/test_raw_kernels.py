@@ -1,0 +1,276 @@
+"""The raw-value scalar kernels against their FieldElement oracles.
+
+rref (with kernel, rank, solve, det, mat_vec and mat_mul), PlaneCubic's
+evaluate and gradient, and Poly's __call__, __mul__ and __divmod__ unwrap
+their inputs once and loop on raw values.  The oracles below are the
+element-by-element loops they replaced, kept here as the reference: every
+result must agree exactly, over prime fields, extensions and Q.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewloci.cubic import MONOMIALS, PlaneCubic
+from skewloci.fields import QQ, Poly, PrimeField, extend_field
+from skewloci.linalg import det, kernel, mat_mul, mat_vec, rank, rref, solve
+
+FIELDS = (
+    PrimeField(7), PrimeField(101), extend_field(PrimeField(7), 2)[0],
+    extend_field(PrimeField(3), 3)[0], QQ,
+)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the FieldElement loops
+
+
+def _rref_oracle(field, rows):
+    R = [list(r) for r in rows]
+    m = len(R)
+    n = len(R[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if not R[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = R[r][c].inverse()
+        R[r] = [x * inv for x in R[r]]
+        for i in range(m):
+            if i != r and not R[i][c].is_zero():
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return R[:r], pivots
+
+
+def _kernel_oracle(field, rows):
+    n = len(rows[0])
+    R, pivots = _rref_oracle(field, rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [field.zero] * n
+        v[f] = field.one
+        for r, p in enumerate(pivots):
+            v[p] = -R[r][f]
+        basis.append(v)
+    return _rref_oracle(field, basis)[0] if basis else []
+
+
+def _solve_oracle(field, A, b):
+    n = len(A[0])
+    R, pivots = _rref_oracle(field, [list(row) + [y] for row, y in zip(A, b)])
+    for row in R:
+        if all(x.is_zero() for x in row[:n]) and not row[n].is_zero():
+            return None
+    x = [field.zero] * n
+    for r, p in enumerate(pivots):
+        if p < n:
+            x[p] = R[r][n]
+    return x
+
+
+def _det_oracle(field, rows):
+    n = len(rows)
+    R = [list(r) for r in rows]
+    sign = field.one
+    acc = field.one
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if not R[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            return field.zero
+        if pr != c:
+            R[c], R[pr] = R[pr], R[c]
+            sign = -sign
+        acc = acc * R[c][c]
+        inv = R[c][c].inverse()
+        for i in range(c + 1, n):
+            if not R[i][c].is_zero():
+                f = R[i][c] * inv
+                R[i] = [x - f * y for x, y in zip(R[i], R[c])]
+    return sign * acc
+
+
+def _mat_mul_oracle(A, B):
+    Bt = [list(col) for col in zip(*B)]
+    return [[sum((x * y for x, y in zip(row, col)), start=row[0].field.zero) for col in Bt]
+            for row in A]
+
+
+def _monomial_value(pt, exps):
+    out = pt[0].field.one
+    for x, e in zip(pt, exps):
+        for _ in range(e):
+            out = out * x
+    return out
+
+
+def _evaluate_oracle(C, pt):
+    out = C.field.zero
+    for c, exps in zip(C.coeffs, MONOMIALS):
+        if not c.is_zero():
+            out = out + c * _monomial_value(pt, exps)
+    return out
+
+
+def _gradient_oracle(C, pt):
+    out = []
+    for i in range(3):
+        acc = C.field.zero
+        for c, exps in zip(C.coeffs, MONOMIALS):
+            if c.is_zero() or exps[i] == 0:
+                continue
+            lowered = list(exps)
+            lowered[i] -= 1
+            acc = acc + c * C.field(exps[i]) * _monomial_value(pt, tuple(lowered))
+        out.append(acc)
+    return tuple(out)
+
+
+def _poly_call_oracle(f, x):
+    acc = f.field.zero
+    for c in reversed(f.c):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_mul_oracle(f, g):
+    if f.is_zero() or g.is_zero():
+        return Poly(f.field, [])
+    out = [f.field.zero] * (len(f.c) + len(g.c) - 1)
+    for i, x in enumerate(f.c):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(g.c):
+            out[i + j] = out[i + j] + x * y
+    return Poly(f.field, out)
+
+
+def _poly_divmod_oracle(f, g):
+    if f.degree < g.degree:
+        return Poly(f.field, []), f
+    rem = list(f.c)
+    dv = g.c
+    inv = g.lead().inverse()
+    qn = len(rem) - len(dv) + 1
+    quot = [f.field.zero] * qn
+    for i in range(qn - 1, -1, -1):
+        coef = rem[i + len(dv) - 1] * inv
+        quot[i] = coef
+        if not coef.is_zero():
+            for j, y in enumerate(dv):
+                rem[i + j] = rem[i + j] - coef * y
+    return Poly(f.field, quot), Poly(f.field, rem)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+def _element(draw, field):
+    """Zero a third of the time, so that pivots and terms are often missing."""
+    if draw(st.integers(0, 2)) == 0:
+        return field.zero
+    if field is QQ:
+        return field(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6))))
+    if field.degree == 1:
+        return field(draw(st.integers(0, field.char - 1)))
+    return field(draw(st.lists(st.integers(0, field.char - 1),
+                               min_size=field.degree, max_size=field.degree)))
+
+
+def _matrix(draw, field, m, n):
+    return [[_element(draw, field) for _ in range(n)] for _ in range(m)]
+
+
+@st.composite
+def _matrix_case(draw):
+    """A field and an m x n matrix of rank at most k, as a product A B."""
+    field = draw(st.sampled_from(FIELDS))
+    m, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    A, B = _matrix(draw, field, m, k), _matrix(draw, field, k, n)
+    return field, _mat_mul_oracle(A, B), A, B
+
+
+def _raw(rows):
+    return [[(x.field, x.v) for x in row] for row in rows]
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(_matrix_case(), st.data())
+def test_linear_algebra_matches_the_element_loops(case, data):
+    field, M, A, B = case
+    R, piv = rref(field, M)
+    R0, piv0 = _rref_oracle(field, M)
+    assert piv == piv0 and R == R0
+    assert all(x.field is field for row in R for x in row)
+    assert rank(field, M) == len(piv0)
+    assert kernel(field, M) == _kernel_oracle(field, M)
+    assert mat_mul(A, B) == M
+    b = [_element(data.draw, field) for _ in M]
+    assert solve(field, M, b) == _solve_oracle(field, M, b)
+    v = [_element(data.draw, field) for _ in M[0]]
+    assert mat_vec(M, v) == [sum((x * y for x, y in zip(row, v)), start=field.zero) for row in M]
+    sq = [row[: len(M)] for row in M] if len(M[0]) >= len(M) else None
+    if sq is not None:
+        assert det(field, sq) == _det_oracle(field, sq)
+    # raw values, not only equality up to field identity
+    assert _raw(R) == _raw(R0)
+
+
+@st.composite
+def _cubic_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    coeffs = [_element(draw, field) for _ in range(10)]
+    if all(c.is_zero() for c in coeffs):
+        coeffs[draw(st.integers(0, 9))] = field.one
+    pt = [_element(draw, field) for _ in range(3)]
+    return PlaneCubic(field, coeffs), pt
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(_cubic_case())
+def test_cubic_evaluate_and_gradient_match_the_element_loops(case):
+    C, pt = case
+    assert C.evaluate(pt) == _evaluate_oracle(C, pt)
+    assert C.gradient(pt) == _gradient_oracle(C, pt)
+    assert C.evaluate(pt).field is C.field
+
+
+@st.composite
+def _poly_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    f = Poly(field, [_element(draw, field) for _ in range(draw(st.integers(0, 7)))])
+    g = Poly(field, [_element(draw, field) for _ in range(draw(st.integers(0, 5)))])
+    return f, g, _element(draw, field)
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(_poly_case())
+def test_poly_arithmetic_matches_the_element_loops(case):
+    f, g, x = case
+    assert f(x) == _poly_call_oracle(f, x)
+    assert f * g == _poly_mul_oracle(f, g)
+    assert f * x == Poly(f.field, [c * x for c in f.c])
+    if not g.is_zero():
+        q, r = divmod(f, g)
+        q0, r0 = _poly_divmod_oracle(f, g)
+        assert (q, r) == (q0, r0)
+        assert q * g + r == f and r.degree < g.degree
+    # trailing zeros are stripped
+    for h in (f * g, f * x):
+        assert not h.c or not h.c[-1].is_zero()
