@@ -14,6 +14,8 @@ exactly by eliminating the partial derivatives down to univariate data.
 
 from __future__ import annotations
 
+import copy
+
 from .errors import (
     DegenerateInputError,
     InconsistencyError,
@@ -22,14 +24,13 @@ from .errors import (
 )
 from .fields import (
     Embedding,
-    FieldElement,
     Poly,
     compose_embeddings,
     identity_embedding,
     roots,
 )
 from .linalg import kernel, rank
-from .polys import MPoly, binary_form_to_poly, common_projective_zero
+from .polys import MPoly, binary_form_to_poly, common_projective_zero, points_by_lines
 from .projective import normalize_projective
 
 MONOMIALS = (
@@ -40,109 +41,60 @@ MONOMIALS = (
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
-def _powers(field, pt, top):
-    """Raw powers x^1..x^top of each coordinate of pt, unwrapped once.
-
-    Index 0 is never read: a zero exponent contributes no factor.
-    """
-    mul = field._mul
-    out = []
-    for x in field._unwrap(pt):
-        pw = [None, x]
-        for _ in range(top - 1):
-            pw.append(mul(pw[-1], x))
-        out.append(pw)
-    return out
-
-
-def _form_value(field, terms, powers):
-    """Raw value of the form with raw terms (c, exps) at the tabulated powers."""
-    add, mul = field._add, field._mul
-    acc = field.zero.v
-    for c, exps in terms:
-        for pw, e in zip(powers, exps):
-            if e:
-                c = mul(c, pw[e])
-        acc = add(acc, c)
-    return acc
-
-
 class PlaneCubic:
     """A ternary cubic form with an optional rational base point.
 
-    evaluate and gradient run on raw values: the nonzero terms of the form
-    and of its three partial derivatives are tabulated once, in _terms and
-    _grad_terms, as (raw coefficient, exponents).
+    The form and its three partial derivatives are built once, as MPolys,
+    and do not depend on the base point; evaluate and gradient are
+    MPoly.evaluate on them.
     """
 
-    __slots__ = ("field", "coeffs", "base_point", "_smooth", "_points", "_tangent_third",
-                 "_two_torsion", "_terms", "_grad_terms")
+    __slots__ = ("field", "coeffs", "base_point", "_form", "_partials", "_smooth",
+                 "_points", "_tangent_third", "_two_torsion")
 
     def __init__(self, field, coeffs, base_point=None):
         if len(coeffs) != 10:
             raise PreconditionError("a plane cubic takes exactly 10 coefficients")
         self.field = field
-        self.coeffs = tuple(
-            c if hasattr(c, "field") else field(c) for c in coeffs
-        )
-        if all(c.is_zero() for c in self.coeffs):
+        self._form = MPoly(field, 3, dict(zip(MONOMIALS, coeffs)))
+        if self._form.is_zero():
             raise DegenerateInputError("the cubic form is identically zero")
-        raw = field._unwrap(self.coeffs)
-        self._terms = tuple(
-            (c, exps) for c, exps in zip(raw, MONOMIALS) if not field._is_zero(c)
-        )
-        grad = []
-        for i in range(3):
-            terms = []
-            for c, exps in self._terms:
-                if exps[i]:
-                    d = field._mul(c, field(exps[i]).v)
-                    if not field._is_zero(d):
-                        lowered = list(exps)
-                        lowered[i] -= 1
-                        terms.append((d, tuple(lowered)))
-            grad.append(tuple(terms))
-        self._grad_terms = tuple(grad)
+        self.coeffs = tuple(self._form.coeff(exps) for exps in MONOMIALS)
+        self._partials = tuple(self._form.partial(i) for i in range(3))
         self._smooth = None
         self._points = None
         self._tangent_third = None
         self._two_torsion = None
+        self._set_base_point(base_point)
+
+    def _set_base_point(self, base_point):
+        """Set the base point, checked to be a nonzero point of the curve."""
         if base_point is None:
             self.base_point = None
-        else:
-            pt = tuple(x if hasattr(x, "field") else field(x) for x in base_point)
-            if len(pt) != 3 or all(x.is_zero() for x in pt):
-                raise PreconditionError("base point must be a nonzero plane point")
-            pt = tuple(normalize_projective(list(pt)))
-            if not self.evaluate(pt).is_zero():
-                raise PreconditionError("base point does not lie on the cubic")
-            self.base_point = pt
+            return
+        field = self.field
+        pt = tuple(x if hasattr(x, "field") else field(x) for x in base_point)
+        if len(pt) != 3 or all(x.is_zero() for x in pt):
+            raise PreconditionError("base point must be a nonzero plane point")
+        pt = tuple(normalize_projective(list(pt)))
+        if not self.evaluate(pt).is_zero():
+            raise PreconditionError("base point does not lie on the cubic")
+        self.base_point = pt
 
     def evaluate(self, pt):
-        field = self.field
-        return FieldElement(field, _form_value(field, self._terms, _powers(field, pt, 3)))
+        return self._form.evaluate(pt)
 
     def gradient(self, pt):
-        field = self.field
-        powers = _powers(field, pt, 2)
-        return tuple(
-            FieldElement(field, _form_value(field, terms, powers))
-            for terms in self._grad_terms
-        )
+        return tuple(dF.evaluate(pt) for dF in self._partials)
 
     def contains(self, pt):
         return self.evaluate(pt).is_zero()
 
     def as_mpoly(self):
-        P = MPoly.zero(self.field, 3)
-        for c, exps in zip(self.coeffs, MONOMIALS):
-            if not c.is_zero():
-                P = P + MPoly(self.field, 3, {exps: c})
-        return P
+        return self._form
 
     def partials(self):
-        P = self.as_mpoly()
-        return [P.partial(i) for i in range(3)]
+        return self._partials
 
     @classmethod
     def from_mpoly(cls, P, base_point=None):
@@ -152,11 +104,14 @@ class PlaneCubic:
         return cls(P.field, coeffs, base_point=base_point)
 
     def anchored(self, base_point):
-        """The same curve with another base point.  The point list and the
-        smoothness verdict do not depend on the base point and are shared;
-        the 2-torsion classes do, and are not."""
-        C = PlaneCubic(self.field, self.coeffs, base_point=base_point)
-        C._points, C._smooth = self._points, self._smooth
+        """The same curve with another base point.  The form, its partials,
+        the point list and the smoothness verdict do not depend on the base
+        point and are shared; the 2-torsion classes and the tangent's third
+        point do, and are not."""
+        C = copy.copy(self)
+        C._tangent_third = None
+        C._two_torsion = None
+        C._set_base_point(base_point)
         return C
 
     def map(self, emb: Embedding):
@@ -166,10 +121,8 @@ class PlaneCubic:
         return PlaneCubic(emb.dst, [emb(c) for c in self.coeffs], base_point=bp)
 
     def rational_points(self):
-        if self.field.order is None:
-            raise UnsupportedFieldError("point enumeration needs a finite field")
         if self._points is None:
-            self._points = _points_by_lines(self)
+            self._points = list(points_by_lines(self._form))
         return list(self._points)
 
     def smoothness(self, seed=0):
@@ -212,44 +165,6 @@ class SmoothnessReport:
 
     def __repr__(self):
         return f"SmoothnessReport({'smooth' if self.smooth else 'singular'})"
-
-
-def _line_roots(field, coeffs):
-    """The base-field zeros of the polynomial with these coefficients, in
-    elements() order: all of the field when it vanishes, none when it is a
-    nonzero constant."""
-    f = Poly(field, coeffs)
-    if f.is_zero():
-        return list(field.elements())
-    if f.degree == 0:
-        return []
-    return [r for r, _ in roots(f).pairs]
-
-
-def _points_by_lines(C: PlaneCubic):
-    """The rational points of C in projective_reps order, line by line.
-
-    The roots in z of C(1, a, z) for each a, in elements() order, give the
-    points (1:a:z); the roots of C(0, 1, z) give (0:1:z); (0:0:1) lies on C
-    exactly when the l3^3 coefficient vanishes.  roots() sorts by sort_key,
-    which is elements() order.
-    """
-    field = C.field
-    zero, one = field.zero, field.one
-    c300, c210, c201, c120, c111, c102, c030, c021, c012, c003 = C.coeffs
-    pts = []
-    for a in field.elements():
-        zs = _line_roots(field, [
-            c300 + (c210 + (c120 + c030 * a) * a) * a,
-            c201 + (c111 + c021 * a) * a,
-            c102 + c012 * a,
-            c003,
-        ])
-        pts.extend((one, a, z) for z in zs)
-    pts.extend((zero, one, z) for z in _line_roots(field, [c030, c021, c012, c003]))
-    if c003.is_zero():
-        pts.append((zero, zero, one))
-    return pts
 
 
 def _smoothness_search(C: PlaneCubic, seed: int) -> SmoothnessReport:

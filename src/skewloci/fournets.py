@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import extend_field
-from .linalg import PAIRS, kernel, rank
+from .linalg import PAIRS, kernel, mat_mul, mat_vec, rank, transpose
 from .nets import (
     Net,
     directrix_planes,
@@ -55,10 +55,6 @@ from .projective import (
     pluecker_of_line,
     subspace_points,
 )
-
-
-def _dot(field, u, v):
-    return sum((x * y for x, y in zip(u, v)), start=field.zero)
 
 
 def _pair_covectors(plane: Subspace):
@@ -145,11 +141,10 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
 
     lk = scroll_fiber(net, list(k))
     lines = [scroll_fiber(net, list(z)) for z in zs]
-    fib = special_fiber(field, lk)
-    B = fib.rows
+    Bt = transpose(special_fiber(field, lk).rows)
 
     def restrict(conds):
-        return [[_dot(field, c, b) for b in B] for c in conds]
+        return mat_mul(conds, Bt)
 
     plane_conds = _pair_covectors(planes[0]) + _pair_covectors(planes[1])
     line_conds = [pluecker_of_line(l) for l in lines]
@@ -162,11 +157,7 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
             "plane-restricted dimension %d, line-only dimension %d"
             % (len(sol), len(lemma), len(pencil))
         )
-    coeffs = [
-        sum((c * b[t] for c, b in zip(sol[0], B)), start=field.zero)
-        for t in range(15)
-    ]
-    gamma = LinearComplex.from_pairs(field, coeffs)
+    gamma = LinearComplex.from_pairs(field, mat_vec(Bt, sol[0]))
     return GammaReport(gamma, zs, len(pencil), len(lemma) - len(sol),
                        False, field, None)
 

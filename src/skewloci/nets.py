@@ -33,15 +33,18 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import Poly, factor, poly_gcd, roots
+from .fields import factor, poly_gcd, roots
 from .linalg import (
     PAIRS,
+    identity,
     kernel,
+    mat_mul,
     mat_vec,
     rank,
     sub_pfaffians_6,
+    transpose,
 )
-from .polys import MPoly, binary_form_to_poly, common_projective_zero
+from .polys import MPoly, binary_form_to_poly, common_projective_zero, points_by_lines
 from .projective import (
     Subspace,
     line_through,
@@ -260,30 +263,6 @@ class DegreeProbeReport:
         return f"DegreeProbeReport(max={self.max_generic}, six={self.attained_six})"
 
 
-def _conic_rational_point(field, M, Q):
-    """A base-field point of a smooth conic, by sweeping pencil lines."""
-    for a in field.elements():
-        # points (1 : a : t)
-        c0 = Q.evaluate([field.one, a, field.zero])
-        lin = Q.evaluate([field.one, a, field.one]) - c0
-        quad = Q.coeff((0, 0, 2))
-        lin = lin - quad
-        p = Poly(field, [c0, lin, quad])
-        if p.is_zero():
-            return [field.one, a, field.zero]
-        if p.degree >= 1:
-            rr = roots(p, allow_extension=False, seed=0)
-            if rr.pairs:
-                t = rr.pairs[0][0]
-                return [field.one, a, t]
-    for a in field.elements():
-        if Q.evaluate([field.zero, field.one, a]).is_zero():
-            return [field.zero, field.one, a]
-    if Q.evaluate([field.zero, field.zero, field.one]).is_zero():
-        return [field.zero, field.zero, field.one]
-    raise InconsistencyError("a plane conic over a finite field lost all its points")
-
-
 def _count_levels(facs, drop):
     """Distinct projective roots per extension level, from factor degrees."""
     n = {1: 0, 2: 0, 3: 0}
@@ -333,7 +312,9 @@ def probe_section(net: Net, f, g, seed: int = 0) -> ProbeTrial:
     M = _conic_matrix(field, conic)
     if rank(field, M) < 3:
         return ProbeTrial(None, None, True, "degenerate-conic")
-    p = _conic_rational_point(field, M, Q)
+    p = next(points_by_lines(Q), None)
+    if p is None:
+        raise InconsistencyError("a plane conic over a finite field lost all its points")
     (puni, drop), _, param_point = _stereographic_pullback(net_pfaffian_cubic(net), M, p)
     facs = factor(puni, seed=seed) if puni.degree >= 1 else []
     counts, rational = _count_levels(facs, drop)
@@ -350,12 +331,7 @@ def probe_section(net: Net, f, g, seed: int = 0) -> ProbeTrial:
             note = "rank-2-member"
             continue
         fib = Subspace(field, 6, kern)
-        inside = all(
-            sum((c * x for c, x in zip(cov, vec)), start=field.zero).is_zero()
-            for cov in (f, g)
-            for vec in fib.rows
-        )
-        if inside:
+        if all(x.is_zero() for row in mat_mul(fib.rows, transpose([f, g])) for x in row):
             non_generic = True
             note = "contains-fiber"
             for e in counts:
@@ -601,29 +577,16 @@ def restricted_fiber_dim(
             conds.append([x[i] * y[j] - x[j] * y[i] for i, j in PAIRS])
     basis = fiber15.rows
     if conds:
-        M = [
-            [sum((c[t] * b[t] for t in range(15)), start=field.zero) for b in basis]
-            for c in conds
-        ]
-        sols = kernel(field, M)
+        sols = kernel(field, mat_mul(conds, transpose(basis)))
     else:
-        sols = [[field.one if i == j else field.zero for j in range(len(basis))]
-                for i in range(len(basis))]
-    restricted = [
-        [sum((c[i] * basis[i][t] for i in range(len(basis))), start=field.zero)
-         for t in range(15)]
-        for c in sols
-    ]
+        sols = identity(field, len(basis))
+    restricted = mat_mul(sols, basis)
     dim = len(restricted) - 1
     others = (line for _, line in rational_fibers(net) if line != k)
     sampled = [pluecker_of_line(line) for line in itertools.islice(others, samples)]
     contains_all = False
     if restricted and sampled:
-        P = [
-            [sum((p[t] * r[t] for t in range(15)), start=field.zero) for r in restricted]
-            for p in sampled
-        ]
-        contains_all = len(kernel(field, P)) > 0
+        contains_all = len(kernel(field, mat_mul(sampled, transpose(restricted)))) > 0
     return RestrictedFiberReport(dim, restricted, len(sampled), contains_all)
 
 

@@ -42,12 +42,15 @@ class MPoly:
         self.n = n
         t = {}
         if terms:
-            for e, c in terms.items():
+            # ints and Fractions coerce; _unwrap refuses an element of
+            # another field, which field(c) would embed into an extension
+            cs = [c if type(c) is FieldElement else field(c) for c in terms.values()]
+            is_zero = field._is_zero
+            for e, c, v in zip(terms, cs, field._unwrap(cs)):
                 if len(e) != n:
                     raise PreconditionError("exponent tuple has wrong length")
-                x = field(c)
-                if not x.is_zero():
-                    t[tuple(int(k) for k in e)] = x
+                if not is_zero(v):
+                    t[tuple(int(k) for k in e)] = c
         self.terms = t
 
     @classmethod
@@ -144,14 +147,26 @@ class MPoly:
         )
 
     def evaluate(self, point) -> FieldElement:
-        acc = self.field.zero
+        """The value at point, on raw values.
+
+        The point is unwrapped once (a point of another field is refused),
+        each coordinate's powers are built as the terms ask for them, and the
+        value is wrapped once.
+        """
+        field = self.field
+        add, mul = field._add, field._mul
+        # powers[i][k] is the raw x_i^k; index 0 is never read
+        powers = [[None, x] for x in field._unwrap(point)]
+        acc = field.zero.v
         for e, c in self.terms.items():
-            term = c
-            for x, k in zip(point, e):
+            c = c.v
+            for pw, k in zip(powers, e):
                 if k:
-                    term = term * x**k
-            acc = acc + term
-        return acc
+                    while len(pw) <= k:
+                        pw.append(mul(pw[-1], pw[1]))
+                    c = mul(c, pw[k])
+            acc = add(acc, c)
+        return FieldElement(field, acc)
 
     def substitute(self, polys) -> "MPoly":
         """Plug polys[i] in for variable i; all polys share one target ring."""
@@ -172,7 +187,7 @@ class MPoly:
 
         out = MPoly.zero(field, tgt_n)
         for e, c in self.terms.items():
-            term = MPoly.constant(field, tgt_n, field(c) if c.field == field else c)
+            term = MPoly.constant(field, tgt_n, c)
             for i, k in enumerate(e):
                 if k:
                     term = term * pw(i, k)
@@ -302,20 +317,62 @@ def binary_form_to_poly(B: MPoly, i: int, j: int):
 
 
 def specialize_last(H: MPoly, x0: FieldElement, y0: FieldElement, emb: Embedding) -> Poly:
-    """H(x0, y0, z) as a univariate polynomial over the field of x0, y0."""
+    """H(x0, y0, z) as a univariate polynomial over the field of x0, y0.
+
+    Runs on raw values; emb carries H's coefficients into that field, and a
+    coefficient or coordinate of any other field is refused.
+    """
     K = x0.field
     if not H.terms:
         return Poly(K, [])
-    top = max(e[2] for e in H.terms)
-    coeffs = [K.zero] * (top + 1)
-    for (a, b, c), coef in H.terms.items():
-        term = emb(coef)
-        if a:
-            term = term * x0**a
-        if b:
-            term = term * y0**b
-        coeffs[c] = coeffs[c] + term
-    return Poly(K, coeffs)
+    add, mul = K._add, K._mul
+    # as in MPoly.evaluate, powers[i][k] is the raw k-th power of x0 or y0
+    powers = [[None, x] for x in K._unwrap((x0, y0))]
+    vals = K._unwrap([emb(c) for c in H.terms.values()])
+    coeffs = [K.zero.v] * (max(e[2] for e in H.terms) + 1)
+    for e, v in zip(H.terms, vals):
+        for pw, k in zip(powers, e):
+            if k:
+                while len(pw) <= k:
+                    pw.append(mul(pw[-1], pw[1]))
+                v = mul(v, pw[k])
+        coeffs[e[2]] = add(coeffs[e[2]], v)
+    return Poly._from_raw(K, coeffs)
+
+
+def points_by_lines(F: MPoly):
+    """The rational points of a ternary form over a finite field, lazily.
+
+    They come in projective_reps order, line by line: the roots in z of
+    F(1, a, z) for each a in elements() order give the points (1:a:z), the
+    roots of F(0, 1, z) give (0:1:z), and (0:0:1) comes last when F vanishes
+    there.  A line on which F vanishes yields all of its points.  roots()
+    sorts by sort_key, which is elements() order.  This is q + 1 univariate
+    root-findings in place of the q^2 + q + 1 points of the plane.
+    """
+    field = F.field
+    if field.order is None:
+        raise UnsupportedFieldError("point enumeration needs a finite field")
+    if F.n != 3:
+        raise PreconditionError("expected a form in three variables")
+    zero, one = field.zero, field.one
+    ident = identity_embedding(field)
+
+    def line(x0, y0):
+        f = specialize_last(F, x0, y0, ident)
+        if f.is_zero():
+            return field.elements()
+        if f.degree == 0:
+            return ()
+        return (r for r, _ in roots(f).pairs)
+
+    for a in field.elements():
+        for z in line(one, a):
+            yield (one, a, z)
+    for z in line(zero, one):
+        yield (zero, one, z)
+    if F.evaluate((zero, zero, one)).is_zero():
+        yield (zero, zero, one)
 
 
 def _search_scalar(field, rng):

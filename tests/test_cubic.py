@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from skewloci import cubic as cubic_module
 from skewloci.cubic import (
+    CONIC_MONOMIALS,
+    MONOMIALS,
     DivisorClass,
     PlaneCubic,
     SectionPoint,
@@ -27,8 +29,10 @@ from skewloci.cubic import (
 )
 from skewloci.errors import PreconditionError
 from skewloci.fields import QQ, PrimeField, extend_field, identity_embedding
-from skewloci.polys import MPoly
+from skewloci.polys import MPoly, points_by_lines
 from skewloci.projective import projective_reps
+
+F49 = extend_field(PrimeField(7), 2)[0]
 
 # l2^2 l3 - l1^3 + l1 l3^2 in wire order
 ANCHOR = [-1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
@@ -186,6 +190,12 @@ def test_two_torsion_is_computed_once_per_anchored_curve(monkeypatch):
     assert rep2 is not rep and len(calls) == 5
     assert all(c.curve is C2 for c in rep2.classes)
     assert C._two_torsion is rep
+    # the form, its partials and the point list do not depend on the base
+    # point, so the anchored copy shares them
+    assert C2.as_mpoly() is C.as_mpoly()
+    assert C2.partials() is C.partials()
+    assert C2.rational_points() == C.rational_points() and C2._points is C._points
+    assert C2.base_point == O2 and C.base_point == tuple(map(F, FLEX))
 
 
 def test_halvings_planted_and_coset_size():
@@ -236,7 +246,8 @@ def test_halvings_match_the_point_scan(make):
 
 
 def _scan_points(C):
-    # the P^2 scan that rational_points replaced, kept as its oracle
+    # the P^2 scan that points_by_lines replaced, kept as its oracle; C is a
+    # PlaneCubic or any ternary MPoly
     return [tuple(r) for r in projective_reps(C.field, 3) if C.evaluate(r).is_zero()]
 
 
@@ -300,19 +311,26 @@ def test_points_by_lines_on_degenerate_lines():
     assert rep.witness == _scan_points(C)[0]
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None)
 @given(
-    st.sampled_from([3, 5, 7, 11]),
-    st.lists(st.integers(0, 10), min_size=10, max_size=10),
+    st.sampled_from([3, 5, 7, 11, 13, 49]),
+    st.sampled_from([MONOMIALS, CONIC_MONOMIALS]),
+    st.lists(st.integers(0, 48), min_size=10, max_size=10),
     st.lists(st.booleans(), min_size=10, max_size=10),
 )
-def test_rational_points_by_lines_property(p, coeffs, keep):
-    # sparse draws reach zero line polynomials and the point (0:0:1)
-    cs = [c if k else 0 for c, k in zip(coeffs, keep)]
-    F = PrimeField(p)
-    assume(any(c % p for c in cs))
-    C = PlaneCubic(F, cs)
-    assert C.rational_points() == _scan_points(C)
+def test_rational_points_by_lines_property(q, monomials, coeffs, keep):
+    # sparse draws reach zero line polynomials and the point (0:0:1); cubics
+    # go through PlaneCubic, conics straight through points_by_lines
+    F = F49 if q == 49 else PrimeField(q)
+    cs = [F((c % 7, c // 7)) if q == 49 else F(c) for c in coeffs]
+    cs = [c if k else F.zero for c, k in zip(cs, keep)][:len(monomials)]
+    form = MPoly(F, 3, dict(zip(monomials, cs)))
+    assume(not form.is_zero())
+    if monomials is MONOMIALS:
+        got = PlaneCubic(F, cs).rational_points()
+    else:
+        got = list(points_by_lines(form))
+    assert got == _scan_points(form)
 
 
 def test_two_torsion_anchor_over_q():

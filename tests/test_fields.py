@@ -18,15 +18,19 @@ from skewloci.fields import (
     PrimeField,
     _is_probable_prime,
     extend_field,
+    SCAN_LIMIT,
+    _scan_roots,
     factor,
     field_from_wire,
     from_wire,
+    identity_embedding,
     is_irreducible,
     poly_gcd,
     roots,
     to_wire,
 )
 from skewloci.linalg import det, kernel, mat_mul, mat_vec, rank, rref, solve
+from skewloci.polys import MPoly, specialize_last
 
 
 def test_prime_field_basic_arithmetic():
@@ -440,13 +444,27 @@ def test_cross_field_mixing_still_raises():
     f = Poly(F49, [F49.gen(), 1, 1])
     g = Poly(F7, [1, 2])
     C = PlaneCubic(F49, [1, 0, 0, 0, 0, 0, 1, 0, 0, 1])
+    H = C.as_mpoly()
+    ident = identity_embedding(F49)
     for call in (lambda: f(F7(3)), lambda: g(F49.gen()), lambda: f * g, lambda: g * f,
                  lambda: divmod(f, g), lambda: divmod(g * g, f), lambda: f * F7(2),
                  lambda: C.evaluate([F7(1), F49(1), F49(0)]),
                  lambda: C.gradient([F49(1), F49(1), F11(0)]),
-                 lambda: PlaneCubic(F49, [F7(1)] + [0] * 9)):
+                 lambda: PlaneCubic(F49, [F7(1)] + [0] * 9),
+                 # the polynomial constructors refuse an F7 coefficient that
+                 # F49(...) would quietly embed
+                 lambda: MPoly(F49, 3, {(1, 0, 0): F7(1)}),
+                 lambda: Poly(F49, [F7(1)]),
+                 lambda: H.evaluate([F7(1), F7(0), F7(0)]),
+                 lambda: specialize_last(H, F7(1), F7(0), ident),
+                 lambda: specialize_last(H, F49(1), F7(0), ident),
+                 lambda: specialize_last(H, F7(1), F7(0), identity_embedding(F7))):
         with pytest.raises(PreconditionError):
             call()
+    # ints and Fractions still coerce into the constructors
+    assert MPoly(F49, 3, {(1, 0, 0): 8}) == MPoly(F49, 3, {(1, 0, 0): F49(1)})
+    assert Poly(F7, [Fraction(1, 2), 7]) == Poly(F7, [F7(4)])
+    assert Poly(QQ, [Fraction(1, 2)]).c == (QQ(Fraction(1, 2)),)
     # within one field the same calls answer, with ints read as field elements
     assert rank(F49, [[F49.gen(), 1], [F49(3), F49(2)]]) == 2
     assert f(F49(0)) == F49.gen() and g(2) == F7(5)
@@ -462,3 +480,25 @@ def test_ext_fields_with_one_modulus_compare_and_mix_as_equal():
     assert (a * b) == K1((1, 2)) * K1((1, 2))
     assert K1(b) is b
     assert K1.zero == K2.zero and K1.one == K2.one
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrimeField(251),
+    lambda: PrimeField(257),
+    lambda: extend_field(PrimeField(7), 3)[0],
+    lambda: extend_field(PrimeField(23), 2)[0],
+], ids=["F251", "F257", "F7^3", "F23^2"])
+def test_roots_match_the_scan_on_both_sides_of_the_limit(make):
+    # F251 scans and the other three factor; both paths must give the
+    # scan's roots, multiplicities and order
+    F = make()
+    assert (F.order <= SCAN_LIMIT) == (F.order == 251)
+    rng = random.Random(F.order)
+    for d in (2, 3, 4):
+        for _ in range(4):
+            f = Poly(F, [F.random(rng) for _ in range(d)] + [1])
+            # a planted double root times a random monic cofactor
+            r = F.random(rng)
+            g = Poly(F, [r * r, -2 * r, 1]) * Poly(F, [F.random(rng) for _ in range(d - 2)] + [1])
+            for h in (f, g):
+                assert roots(h).pairs == _scan_roots(h)

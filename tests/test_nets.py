@@ -1,17 +1,21 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewloci import cubic as cubic_module
 from skewloci import nets as nets_module
 from skewloci import selftest
 from skewloci.complexes import GenericMorphism
+from skewloci.cubic import CONIC_MONOMIALS, _conic_matrix
 from skewloci.errors import (
     DegenerateInputError,
+    InconsistencyError,
     PreconditionError,
     UnsupportedFieldError,
 )
-from skewloci.fields import QQ, PrimeField
+from skewloci.fields import QQ, Poly, PrimeField, extend_field, roots
 from skewloci.linalg import PAIRS, kernel, mat_vec, pfaffian, rank, sub_pfaffians_6
 from skewloci.nets import (
     Net,
@@ -29,6 +33,7 @@ from skewloci.nets import (
     type2_singular_locus_check,
     x_membership,
 )
+from skewloci.polys import MPoly, points_by_lines
 from skewloci.projective import Subspace, join, meet, subspace_points
 
 
@@ -304,6 +309,49 @@ def test_probe_section_through_fiber_flagged():
         assert tr.counts[e - 1] >= 11**e + 1
 
 
+def _conic_rational_point(field, Q):
+    """A base-field point of a smooth conic, by sweeping pencil lines.
+
+    The sweep probe_section ran before points_by_lines, kept as the oracle
+    for the conic's first point.
+    """
+    for a in field.elements():
+        # points (1 : a : t)
+        c0 = Q.evaluate([field.one, a, field.zero])
+        lin = Q.evaluate([field.one, a, field.one]) - c0
+        quad = Q.coeff((0, 0, 2))
+        lin = lin - quad
+        p = Poly(field, [c0, lin, quad])
+        if p.is_zero():
+            return [field.one, a, field.zero]
+        if p.degree >= 1:
+            rr = roots(p, allow_extension=False, seed=0)
+            if rr.pairs:
+                t = rr.pairs[0][0]
+                return [field.one, a, t]
+    for a in field.elements():
+        if Q.evaluate([field.zero, field.one, a]).is_zero():
+            return [field.zero, field.one, a]
+    if Q.evaluate([field.zero, field.zero, field.one]).is_zero():
+        return [field.zero, field.zero, field.one]
+    raise InconsistencyError("a plane conic over a finite field lost all its points")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.sampled_from([3, 5, 7, 13, 49, 101, 307]),
+    st.lists(st.integers(0, 306), min_size=6, max_size=6),
+)
+def test_conic_first_point_matches_the_line_sweep(q, coeffs):
+    # probe_section takes the first point of points_by_lines on its smooth
+    # incidence conic; F307 roots by factoring, the others by the scan
+    F = extend_field(PrimeField(7), 2)[0] if q == 49 else PrimeField(q)
+    cs = [F((c % 7, c // 7 % 7)) if q == 49 else F(c) for c in coeffs]
+    assume(rank(F, _conic_matrix(F, cs)) == 3)
+    Q = MPoly(F, 3, dict(zip(CONIC_MONOMIALS, cs)))
+    assert next(points_by_lines(Q)) == tuple(_conic_rational_point(F, Q))
+
+
 def test_degree_probe_needs_smooth_cubic():
     with pytest.raises(PreconditionError):
         degree_probe(_block_net(PrimeField(11)), trials=2, seed=0)
@@ -539,13 +587,13 @@ def test_net_derived_geometry_is_built_once(monkeypatch):
     assert isinstance(sub_pfaffian_forms(net), tuple)
     assert sub_pfaffian_forms(net) is sub_pfaffian_forms(net)
     scans = []
-    real = cubic_module._points_by_lines
+    real = cubic_module.points_by_lines
 
-    def counted(C):
-        scans.append(C.field.order)
-        return real(C)
+    def counted(form):
+        scans.append(form.field.order)
+        return real(form)
 
-    monkeypatch.setattr(cubic_module, "_points_by_lines", counted)
+    monkeypatch.setattr(cubic_module, "points_by_lines", counted)
     rep = directrix_planes(net, seed=0)
     for k in rep.fibers[:2]:
         assert restricted_fiber_dim(net, k, rep.planes, seed=0).dim == 3

@@ -1,8 +1,9 @@
 """The raw-value scalar kernels against their FieldElement oracles.
 
-rref (with kernel, rank, solve, det, mat_vec and mat_mul), PlaneCubic's
-evaluate and gradient, and Poly's __call__, __mul__ and __divmod__ unwrap
-their inputs once and loop on raw values.  The oracles below are the
+rref (with kernel, rank, solve, det, mat_vec and mat_mul), MPoly.evaluate
+(and through it PlaneCubic's evaluate and gradient), specialize_last, and
+Poly's __call__, __mul__ and __divmod__ unwrap their inputs once and loop on
+raw values.  The oracles below are the
 element-by-element loops they replaced, kept here as the reference: every
 result must agree exactly, over prime fields, extensions and Q.
 """
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewloci.cubic import MONOMIALS, PlaneCubic
-from skewloci.fields import QQ, Poly, PrimeField, extend_field
+from skewloci.fields import QQ, Poly, PrimeField, extend_field, identity_embedding
 from skewloci.linalg import det, kernel, mat_mul, mat_vec, rank, rref, solve
+from skewloci.polys import MPoly, specialize_last
 
 FIELDS = (
     PrimeField(7), PrimeField(101), extend_field(PrimeField(7), 2)[0],
@@ -249,6 +251,39 @@ def test_cubic_evaluate_and_gradient_match_the_element_loops(case):
     assert C.evaluate(pt) == _evaluate_oracle(C, pt)
     assert C.gradient(pt) == _gradient_oracle(C, pt)
     assert C.evaluate(pt).field is C.field
+
+
+@st.composite
+def _mpoly_case(draw):
+    # any arity and exponents past 3, so the powers grow beyond a cubic's
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    terms = {
+        tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))): _element(draw, field)
+        for _ in range(draw(st.integers(0, 8)))
+    }
+    pt = [_element(draw, field) for _ in range(n)]
+    return MPoly(field, n, terms), pt
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(_mpoly_case())
+def test_mpoly_evaluate_and_specialize_match_the_element_loops(case):
+    P, pt = case
+    field = P.field
+    want = sum((c * _monomial_value(pt, e) for e, c in P.terms.items()), start=field.zero)
+    assert P.evaluate(pt) == want and P.evaluate(pt).field is field
+    if P.n == 3:
+        x0, y0 = pt[0], pt[1]
+        f = specialize_last(P, x0, y0, identity_embedding(field))
+        assert f(pt[2]) == want
+        top = max((e[2] for e in P.terms), default=-1)
+        want_c = [
+            sum((c * _monomial_value([x0, y0], e[:2]) for e, c in P.terms.items() if e[2] == k),
+                start=field.zero)
+            for k in range(top + 1)
+        ]
+        assert f == Poly(field, want_c)
 
 
 @st.composite
