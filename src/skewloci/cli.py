@@ -6,14 +6,23 @@ on stdout carrying the input echo, seed, field, and version.  Identical
 configurations produce byte-identical reports.  Exit codes: 0 success,
 2 usage or schema violation, 3 mathematical precondition failure,
 4 internal inconsistency or a failed self-verification.
+
+Each command is declared once, in the ``_COMMANDS`` table: its argv words
+and their help, the schema definition of its input document, and its
+handler.  The parser, the input-schema lookup and the dispatch all read
+that table.  The parser and one validator per schema definition are built
+on the first ``main`` call and reused for the rest of the process; nothing
+is built at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import jsonschema
 
@@ -25,16 +34,6 @@ USAGE_EXIT = 2
 PRECONDITION_EXIT = 3
 INCONSISTENCY_EXIT = 4
 
-_INPUT_DEFS = {
-    "pfaffian": "pfaffianInput",
-    "complex-classify": "pfaffianInput",
-    "pencil-analyze": "pencilInput",
-    "net-analyze": "netInput",
-    "net-fournets": "netInput",
-}
-
-_FIELD_COMMANDS = set(_INPUT_DEFS)
-
 
 def load_schema() -> dict:
     text = (
@@ -43,18 +42,17 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def _validate_or_messages(instance, schema) -> list:
-    validator = jsonschema.Draft202012Validator(schema)
+@functools.cache
+def _validator(definition_name: str):
+    defs = load_schema()["$defs"]
+    return jsonschema.Draft202012Validator({**defs[definition_name], "$defs": defs})
+
+
+def _validate_or_messages(instance, definition_name: str) -> list:
     return [
         f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(validator.iter_errors(instance), key=str)
+        for err in sorted(_validator(definition_name).iter_errors(instance), key=str)
     ]
-
-
-def _def_schema(schema: dict, name: str) -> dict:
-    sub = dict(schema["$defs"][name])
-    sub["$defs"] = schema["$defs"]
-    return sub
 
 
 def serialize_space(space) -> dict:
@@ -81,10 +79,10 @@ def _decode_pairs_vectors(field, doc, count):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns the result object
+# command handlers: each takes (field, doc, args) and returns the result object
 
 
-def run_pfaffian(field, doc, seed, trials):
+def run_pfaffian(field, doc, args):
     from .linalg import check_skew, pfaffian_field, rank
 
     M = _decode_matrix(field, doc)
@@ -96,7 +94,7 @@ def run_pfaffian(field, doc, seed, trials):
     }
 
 
-def run_classify(field, doc, seed, trials):
+def run_classify(field, doc, args):
     from .complexes import LinearComplex
 
     cx = LinearComplex(field, _decode_matrix(field, doc))
@@ -109,11 +107,11 @@ def run_classify(field, doc, seed, trials):
     }
 
 
-def run_pencil(field, doc, seed, trials):
+def run_pencil(field, doc, args):
     from .pencils import Pencil, alpha
 
     pen = Pencil.from_pair_vectors(field, _decode_pairs_vectors(field, doc, 2))
-    rep = alpha(pen, seed=seed)
+    rep = alpha(pen, seed=args.seed)
     members = [
         {
             "parameter": [to_wire(m.lam), to_wire(m.mu)],
@@ -152,7 +150,7 @@ def run_pencil(field, doc, seed, trials):
     }
 
 
-def run_net(field, doc, seed, trials):
+def run_net(field, doc, args):
     from .errors import DegenerateInputError, UnsupportedFieldError
     from .nets import (
         EXHAUSTIVE_PRIME_CAP,
@@ -165,6 +163,7 @@ def run_net(field, doc, seed, trials):
     )
 
     net = Net.from_pair_vectors(field, _decode_pairs_vectors(field, doc, 3))
+    seed, trials = args.seed, args.trials
     notes = []
     trep = net_type(net, seed=seed)
     type_obj = {
@@ -247,12 +246,12 @@ def run_net(field, doc, seed, trials):
     }
 
 
-def run_fournets(field, doc, seed, trials):
+def run_fournets(field, doc, args):
     from .fournets import companion_nets
     from .nets import Net
 
     net = Net.from_pair_vectors(field, _decode_pairs_vectors(field, doc, 3))
-    rep = companion_nets(net, cross_samples=trials or 50, seed=seed)
+    rep = companion_nets(net, cross_samples=args.trials or 50, seed=args.seed)
     return {
         "complete": rep.complete,
         "torsion_classes_found": rep.torsion_classes_found,
@@ -323,9 +322,10 @@ def _render_table(table, conflict_at) -> list:
     return out
 
 
-def run_cohomology(n, m, p_from, p_to, seed):
+def run_cohomology(field, doc, args):
     from .cohomology import buchsbaum_sv_check, degree_formula, en_table
 
+    n, m, p_from, p_to = args.n, args.m, args.p_from, args.p_to
     p_range = None
     if p_from is not None or p_to is not None:
         if p_from is None or p_to is None:
@@ -367,7 +367,13 @@ def run_cohomology(n, m, p_from, p_to, seed):
     }
 
 
-def run_selftest():
+def run_degree(field, doc, args):
+    from .cohomology import degree_formula
+
+    return {"degree": degree_formula(args.n, args.m)}
+
+
+def run_selftest(field, doc, args):
     from .selftest import run_all
 
     results = run_all(progress=lambda r: print(r.line(), file=sys.stderr))
@@ -381,79 +387,89 @@ def run_selftest():
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the command table and argument plumbing
 
 
+class _Command(NamedTuple):
+    words: tuple  # argv words: a group, then an action if the group has several
+    helps: tuple  # help text of each word
+    input_def: str | None  # schema definition of the input document, if any
+    handler: Callable  # one of the run_* handlers above
+    flags: tuple = ()  # keys of _FLAGS, ahead of --seed
+
+
+_FLAGS = {
+    "--n": {"type": int, "required": True},
+    "--m": {"type": int, "required": True},
+    "--from": {"dest": "p_from", "type": int, "default": None},
+    "--to": {"dest": "p_to", "type": int, "default": None},
+}
+
+# keyed by the schema's commandName values, in its order
+_COMMANDS = {
+    "pfaffian": _Command(
+        ("pfaffian",), ("Pfaffian and rank of one skew matrix",),
+        "pfaffianInput", run_pfaffian),
+    "complex-classify": _Command(
+        ("complex", "classify"),
+        ("single complex commands", "rank class and singular space"),
+        "pfaffianInput", run_classify),
+    "pencil-analyze": _Command(
+        ("pencil", "analyze"),
+        ("pencil commands", "singular members and their lines"),
+        "pencilInput", run_pencil),
+    "net-analyze": _Command(
+        ("net", "analyze"), ("net commands", "type, cubic, counts, planes"),
+        "netInput", run_net),
+    "net-fournets": _Command(
+        ("net", "fournets"), ("net commands", "the four companion nets"),
+        "netInput", run_fournets),
+    "cohomology-table": _Command(
+        ("cohomology", "table"),
+        ("cohomology commands", "ideal-sheaf cohomology table"),
+        None, run_cohomology, ("--n", "--m", "--from", "--to")),
+    "degree": _Command(
+        ("degree",), ("degree of the degeneracy locus",),
+        None, run_degree, ("--n", "--m")),
+    "selftest": _Command(
+        ("selftest",), ("run the verification suite",), None, run_selftest),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewloci",
         description="Exact degeneracy-locus geometry of skew forms on P^5.",
     )
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument(
+    groups = parser.add_subparsers(dest="group", required=True)
+    actions = {}
+    for name, cmd in _COMMANDS.items():
+        group, *action = cmd.words
+        if not action:
+            leaf = groups.add_parser(group, help=cmd.helps[0])
+        else:
+            if group not in actions:
+                actions[group] = groups.add_parser(
+                    group, help=cmd.helps[0]
+                ).add_subparsers(dest="action", required=True)
+            leaf = actions[group].add_parser(action[0], help=cmd.helps[1])
+        takes_input = cmd.input_def is not None
+        if takes_input:
+            leaf.add_argument(
                 "source",
                 help="input file path, or an inline JSON object starting with '{'",
             )
-        p.add_argument("--field", default=None,
-                       help="field descriptor: QQ or F<p> (overrides the file)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--json-out", default=None)
-
-    p = sub.add_parser("pfaffian", help="Pfaffian and rank of one skew matrix")
-    common(p)
-
-    p = sub.add_parser("complex", help="single complex commands")
-    s = p.add_subparsers(dest="action", required=True)
-    common(s.add_parser("classify", help="rank class and singular space"))
-
-    p = sub.add_parser("pencil", help="pencil commands")
-    s = p.add_subparsers(dest="action", required=True)
-    common(s.add_parser("analyze", help="singular members and their lines"))
-
-    p = sub.add_parser("net", help="net commands")
-    s = p.add_subparsers(dest="action", required=True)
-    common(s.add_parser("analyze", help="type, cubic, counts, planes"))
-    common(s.add_parser("fournets", help="the four companion nets"))
-
-    p = sub.add_parser("cohomology", help="cohomology commands")
-    s = p.add_subparsers(dest="action", required=True)
-    t = s.add_parser("table", help="ideal-sheaf cohomology table")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--m", type=int, required=True)
-    t.add_argument("--from", dest="p_from", type=int, default=None)
-    t.add_argument("--to", dest="p_to", type=int, default=None)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--json-out", default=None)
-
-    p = sub.add_parser("degree", help="degree of the degeneracy locus")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None)
-
-    p = sub.add_parser("selftest", help="run the verification suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None)
+            leaf.add_argument("--field", default=None,
+                              help="field descriptor: QQ or F<p> (overrides the file)")
+        for flag in cmd.flags:
+            leaf.add_argument(flag, **_FLAGS[flag])
+        leaf.add_argument("--seed", type=int, default=0)
+        if takes_input:
+            leaf.add_argument("--trials", type=int, default=None)
+        leaf.add_argument("--json-out", default=None)
+        leaf.set_defaults(command=name)
     return parser
-
-
-def _command_name(args) -> str:
-    group = args.group
-    action = getattr(args, "action", None)
-    if group in ("pfaffian", "degree", "selftest"):
-        return {"pfaffian": "pfaffian", "degree": "degree",
-                "selftest": "selftest"}[group]
-    return {
-        ("complex", "classify"): "complex-classify",
-        ("pencil", "analyze"): "pencil-analyze",
-        ("net", "analyze"): "net-analyze",
-        ("net", "fournets"): "net-fournets",
-        ("cohomology", "table"): "cohomology-table",
-    }[(group, action)]
 
 
 def _load_input(source: str):
@@ -475,18 +491,18 @@ def _structured_error(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
 
-    command = _command_name(args)
-    schema = load_schema()
+    command = args.command
+    cmd = _COMMANDS[command]
+    input_def = cmd.input_def
 
     input_doc = None
     input_path = None
-    if command in _INPUT_DEFS:
+    if input_def is not None:
         try:
             input_doc, input_path = _load_input(args.source)
         except (OSError, ValueError) as e:  # ValueError: ints over 4300 digits
@@ -496,51 +512,29 @@ def main(argv=None) -> int:
         "command": command,
         "field": getattr(args, "field", None)
         or (input_doc.get("field") if isinstance(input_doc, dict) else None),
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
         "trials": getattr(args, "trials", None),
         "input": input_doc,
         "input_path": input_path,
-        "json_out": getattr(args, "json_out", None),
+        "json_out": args.json_out,
         "n": getattr(args, "n", None),
         "m": getattr(args, "m", None),
         "from": getattr(args, "p_from", None),
         "to": getattr(args, "p_to", None),
     }
-    problems = _validate_or_messages(config, _def_schema(schema, "runConfig"))
-    if command in _INPUT_DEFS:
+    problems = _validate_or_messages(config, "runConfig")
+    if input_def is not None:
         if config["field"] is None:
             problems.append("field: a field descriptor is required")
-        problems += _validate_or_messages(
-            input_doc, _def_schema(schema, _INPUT_DEFS[command])
-        )
+        problems += _validate_or_messages(input_doc, input_def)
     if problems:
         for msg in problems:
             print(f"skewloci: config: {msg}", file=sys.stderr)
         return USAGE_EXIT
 
     try:
-        field = None
-        if command in _FIELD_COMMANDS:
-            field = field_from_wire(config["field"])
-        if command == "pfaffian":
-            result = run_pfaffian(field, input_doc, args.seed, args.trials)
-        elif command == "complex-classify":
-            result = run_classify(field, input_doc, args.seed, args.trials)
-        elif command == "pencil-analyze":
-            result = run_pencil(field, input_doc, args.seed, args.trials)
-        elif command == "net-analyze":
-            result = run_net(field, input_doc, args.seed, args.trials)
-        elif command == "net-fournets":
-            result = run_fournets(field, input_doc, args.seed, args.trials)
-        elif command == "cohomology-table":
-            result = run_cohomology(args.n, args.m, args.p_from, args.p_to,
-                                    args.seed)
-        elif command == "degree":
-            from .cohomology import degree_formula
-
-            result = {"degree": degree_formula(args.n, args.m)}
-        else:
-            result = run_selftest()
+        field = None if input_def is None else field_from_wire(config["field"])
+        result = cmd.handler(field, input_doc, args)
     except PreconditionError as e:
         return _structured_error(e, PRECONDITION_EXIT)
     except InconsistencyError as e:

@@ -145,7 +145,7 @@ class GenericMorphism:
     def __init__(self, field, matrices):
         mats = []
         for M in matrices:
-            rows = [[x if hasattr(x, "field") else field(x) for x in row] for row in M]
+            rows = [[field(x) for x in row] for row in M]
             check_skew(field, rows)
             mats.append(rows)
         if not mats:
@@ -166,7 +166,7 @@ class GenericMorphism:
         self.matrices = mats
 
     def combination(self, lam):
-        coeffs = [x if hasattr(x, "field") else self.field(x) for x in lam]
+        coeffs = [self.field(x) for x in lam]
         if len(coeffs) != self.m:
             raise PreconditionError("combination needs one scalar per matrix")
         size = self.n + 1

@@ -73,7 +73,7 @@ class PlaneCubic:
             self.base_point = None
             return
         field = self.field
-        pt = tuple(x if hasattr(x, "field") else field(x) for x in base_point)
+        pt = tuple(field(x) for x in base_point)
         if len(pt) != 3 or all(x.is_zero() for x in pt):
             raise PreconditionError("base point must be a nonzero plane point")
         pt = tuple(normalize_projective(list(pt)))
@@ -216,7 +216,7 @@ class SectionPoint:
 
 
 def _line_basis(field, covector):
-    row = [x if hasattr(x, "field") else field(x) for x in covector]
+    row = [field(x) for x in covector]
     if len(row) != 3 or all(x.is_zero() for x in row):
         raise PreconditionError("a line needs a nonzero covector of length 3")
     basis = kernel(field, [row])
@@ -284,7 +284,7 @@ def tangent_line(C: PlaneCubic, P):
 
 
 def _norm_point(C, pt):
-    p = tuple(x if hasattr(x, "field") else C.field(x) for x in pt)
+    p = tuple(C.field(x) for x in pt)
     if len(p) != 3 or all(x.is_zero() for x in p):
         raise PreconditionError("expected a nonzero plane point")
     p = tuple(normalize_projective(list(p)))

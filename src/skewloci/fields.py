@@ -402,8 +402,6 @@ class ExtField(Field):
         if isinstance(value, FieldElement):
             if value.field is self or value.field == self:
                 return value
-            if value.field == self.base:
-                return FieldElement(self, (value.v,) + (0,) * (k - 1))
             raise PreconditionError(
                 "cannot coerce %r into %s without an embedding" % (value, self.short())
             )
@@ -590,10 +588,9 @@ class Poly:
     __slots__ = ("field", "c")
 
     def __init__(self, field: Field, coeffs):
-        # ints and Fractions coerce; _unwrap refuses an element of another
-        # field, which field(c) would embed into an extension
-        cs = [c if type(c) is FieldElement else field(c) for c in coeffs]
-        vals = field._unwrap(cs)
+        # ints and Fractions coerce; field(c) refuses an element of another field
+        cs = [field(c) for c in coeffs]
+        vals = [c.v for c in cs]
         n = len(vals)
         while n and field._is_zero(vals[n - 1]):
             n -= 1

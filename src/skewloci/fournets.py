@@ -119,7 +119,7 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
         raise PreconditionError("the class needs an anchored curve")
     if C.coeffs != net_pfaffian_cubic(net).coeffs:
         raise PreconditionError("the divisor class lives on a different cubic")
-    k = tuple(x if hasattr(x, "field") else field(x) for x in k)
+    k = tuple(field(x) for x in k)
     if not C.contains(list(k)):
         raise PreconditionError("k is not on the Pfaffian cubic")
     if rank(field, net.combination(list(k))) != 4:

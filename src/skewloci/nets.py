@@ -88,7 +88,7 @@ def x_membership(phi, P) -> bool:
     at most m - 1.
     """
     field = phi.field
-    pt = [x if hasattr(x, "field") else field(x) for x in P]
+    pt = [field(x) for x in P]
     if len(pt) != phi.n + 1:
         raise PreconditionError("point length does not match the matrix size")
     if all(x.is_zero() for x in pt):
@@ -297,8 +297,8 @@ def probe_section(net: Net, f, g, seed: int = 0) -> ProbeTrial:
     """
     field = net.field
     q = field.order
-    f = [x if hasattr(x, "field") else field(x) for x in f]
-    g = [x if hasattr(x, "field") else field(x) for x in g]
+    f = [field(x) for x in f]
+    g = [field(x) for x in g]
     if rank(field, [f, g]) != 2:
         raise PreconditionError("the section needs two independent linear forms")
     wdual = [f[i] * g[j] - f[j] * g[i] for i, j in PAIRS]

@@ -26,7 +26,6 @@ from .fields import (
     roots,
 )
 from .linalg import det as field_det
-from .projective import projective_reps
 
 # largest projective plane _enumeration_search scans
 MAX_ENUM_POINTS = 200_000
@@ -42,14 +41,13 @@ class MPoly:
         self.n = n
         t = {}
         if terms:
-            # ints and Fractions coerce; _unwrap refuses an element of
-            # another field, which field(c) would embed into an extension
-            cs = [c if type(c) is FieldElement else field(c) for c in terms.values()]
+            # ints and Fractions coerce; field(c) refuses an element of
+            # another field
             is_zero = field._is_zero
-            for e, c, v in zip(terms, cs, field._unwrap(cs)):
+            for e, c in zip(terms, map(field, terms.values())):
                 if len(e) != n:
                     raise PreconditionError("exponent tuple has wrong length")
-                if not is_zero(v):
+                if not is_zero(c.v):
                     t[tuple(int(k) for k in e)] = c
         self.terms = t
 
@@ -457,10 +455,12 @@ def _check_candidate(forms_H, x0, y0, emb, seed):
 
 
 def _enumeration_search(field, forms):
-    """Scan rational points of the base field and two extension steps.
+    """Search the base field and two extension steps for a common zero.
 
-    A tower level is only scanned when its projective plane has at most
-    MAX_ENUM_POINTS points, so the cost stays bounded.
+    Each level sweeps the points of the first form with points_by_lines and
+    tests the others on them, in projective_reps order.  A tower level is
+    only searched when its projective plane has at most MAX_ENUM_POINTS
+    points, so the cost stays bounded.
     """
     towers = []
     if field.order is not None:
@@ -477,8 +477,8 @@ def _enumeration_search(field, forms):
         caveat = "enumeration skipped: base field too large"
     for K, emb in towers:
         lifted = [F.map_coeffs(emb) for F in forms]
-        for p in projective_reps(K, 3):
-            if all(F.evaluate(p).is_zero() for F in lifted):
+        for p in points_by_lines(lifted[0]):
+            if all(F.evaluate(p).is_zero() for F in lifted[1:]):
                 return ZeroSearch(
                     True, list(p), K, emb, certificate="enumeration", caveat=None
                 )

@@ -41,6 +41,7 @@ from .linalg import (
 )
 from .nets import (
     Net,
+    _plane_is_isotropic,
     count_scroll_points,
     degree_probe,
     directrix_planes,
@@ -458,16 +459,8 @@ def criterion_9() -> CriterionResult:
         for plane in rep.planes:
             if any(meet(plane, fib).dim != 1 for fib in fibers):
                 fails.append((seed, "unisecant"))
-            rows = plane.rows
-            for i, j in itertools.combinations(range(len(rows)), 2):
-                for g in net.generators:
-                    img = [
-                        sum((a * b for a, b in zip(r, rows[i])), start=F.zero)
-                        for r in g.matrix
-                    ]
-                    v = sum((x * y for x, y in zip(img, rows[j])), start=F.zero)
-                    if not v.is_zero():
-                        fails.append((seed, "isotropy"))
+            if not _plane_is_isotropic(F, net.matrices, plane.rows):
+                fails.append((seed, "isotropy"))
         for k in fibers[:10]:
             rrep = restricted_fiber_dim(net, k, rep.planes, seed=0)
             if not (

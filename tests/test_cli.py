@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewloci import selftest
+from skewloci import cli, selftest
 from skewloci.cli import load_schema, main
 from skewloci.fields import PRIME_BOUND, PrimeField
 
@@ -561,3 +562,60 @@ def test_fuzzed_cohomology_inputs_exit_with_a_documented_code(argv):
     assert code in (0, 2, 3, 4), (argv, err)
     if code == 0:
         check_report(out)
+
+
+def test_command_table_is_the_schema_command_set():
+    assert list(cli._COMMANDS) == SCHEMA["$defs"]["commandName"]["enum"]
+    inputs = {c.input_def for c in cli._COMMANDS.values()} - {None}
+    assert inputs <= set(SCHEMA["$defs"])
+
+
+_PF_F7 = json.dumps({"field": "F7", "pairs": [1] + [0] * 8 + [1, 0, 0, 0, 0, 1]})
+_MIXED = (
+    ["no-such-command"],                                          # argparse, exit 2
+    ["degree", "--n", "5", "--m", "3", "--seed", "-1"],           # schema, exit 2
+    ["pfaffian", json.dumps({"field": "F7", "matrix": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})],
+    ["degree", "--n", "5", "--m", "3"],
+    ["complex", "classify", _PF_F7],
+    ["net", "analyze", "--help"],
+)
+
+
+def test_requests_answer_alike_in_any_order():
+    """The parser and validators built once hold no state between requests."""
+    forward = [_run_quietly(argv) for argv in _MIXED]
+    backward = [_run_quietly(argv) for argv in reversed(_MIXED)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [2, 2, 3, 0, 0, 0]
+    assert forward[5][1].startswith("usage: skewloci net analyze")
+
+
+def test_parser_and_validators_are_built_once(monkeypatch):
+    parsers, validators = [], []
+
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if self.prog == "skewloci":  # the subparsers are "skewloci <group>"
+            parsers.append(self)
+
+    real_validator = jsonschema.Draft202012Validator
+
+    def counting_validator(schema, *args, **kwargs):
+        validators.append(json.dumps(schema, sort_keys=True))
+        return real_validator(schema, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(jsonschema, "Draft202012Validator", counting_validator)
+    cli.build_parser.cache_clear()
+    cli._validator.cache_clear()
+    try:
+        for k in range(20):
+            _run_quietly(_MIXED[k % len(_MIXED)])
+    finally:
+        cli.build_parser.cache_clear()
+        cli._validator.cache_clear()
+    assert len(parsers) == 1
+    # runConfig and pfaffianInput, each once
+    assert len(validators) == len(set(validators)) == 2

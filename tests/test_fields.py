@@ -29,8 +29,13 @@ from skewloci.fields import (
     roots,
     to_wire,
 )
-from skewloci.linalg import det, kernel, mat_mul, mat_vec, rank, rref, solve
+from skewloci.complexes import GenericMorphism, LinearComplex
+from skewloci.linalg import (
+    det, kernel, mat, mat_mul, mat_vec, rank, rref, skew_from_pairs, solve,
+)
+from skewloci.nets import x_membership
 from skewloci.polys import MPoly, specialize_last
+from skewloci.projective import Subspace, is_decomposable, pluecker_relations
 
 
 def test_prime_field_basic_arithmetic():
@@ -461,6 +466,23 @@ def test_cross_field_mixing_still_raises():
                  lambda: specialize_last(H, F7(1), F7(0), identity_embedding(F7))):
         with pytest.raises(PreconditionError):
             call()
+    # every constructor coerces by one rule: F49(...) refuses an F7 element,
+    # so the embedding is the only way up
+    e01 = [F7(1)] + [F7(0)] * 14
+    skew7 = skew_from_pairs(F7, e01)
+    phi = GenericMorphism(F49, [skew_from_pairs(F49, [1] + [0] * 14)])
+    for call in (lambda: F49(F7(1)),
+                 lambda: mat(F49, [[F7(1), F7(2)]]),
+                 lambda: Subspace(F49, 2, [[F7(1), F7(2)]]),
+                 lambda: skew_from_pairs(F49, e01),
+                 lambda: LinearComplex(F49, skew7),
+                 lambda: is_decomposable(F49, e01),
+                 lambda: pluecker_relations(F49, e01),
+                 lambda: x_membership(phi, [F7(1)] + [F7(0)] * 5)):
+        with pytest.raises(PreconditionError):
+            call()
+    assert F49(emb(F7(3))) == F49(3)
+    assert is_decomposable(F49, [emb(x) for x in e01])
     # ints and Fractions still coerce into the constructors
     assert MPoly(F49, 3, {(1, 0, 0): 8}) == MPoly(F49, 3, {(1, 0, 0): F49(1)})
     assert Poly(F7, [Fraction(1, 2), 7]) == Poly(F7, [F7(4)])

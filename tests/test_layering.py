@@ -2,12 +2,18 @@
 
 perfbench/tracing.py wraps the modules in this order and relies on every
 module coming after the modules it imports.
+Every name it wraps by hand must also resolve, because the tracer skips a
+missing name without a word and its metric would silently read zero.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import skewloci
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 LAYERS = (
     "errors", "fields", "linalg", "projective", "polys", "complexes", "cubic",
@@ -41,3 +47,20 @@ def test_modules_import_only_earlier_layers():
         if rank.get(dep, len(LAYERS)) >= rank[name]
     ]
     assert not bad
+
+
+def test_trace_names_resolve_to_callables():
+    # compiled from its text, so loading it writes no bytecode next to it
+    tracing = types.ModuleType("tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing.__dict__)
+    names = set(tracing.GROUPS) | set(tracing.BEFORE_HOOKS) | set(tracing.AFTER_HOOKS)
+    names |= {f"{mod}.{n}" for mod, extra in tracing.EXTRA_SPANS.items() for n in extra}
+    missing = []
+    for name in sorted(names):
+        mod, *attrs = name.split(".")
+        obj = importlib.import_module(f"skewloci.{mod}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert not missing

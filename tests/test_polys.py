@@ -3,15 +3,18 @@ import random
 import pytest
 
 from skewloci.errors import UnsupportedFieldError
-from skewloci.fields import QQ, PrimeField, identity_embedding
+from skewloci.fields import QQ, PrimeField, extend_field, identity_embedding
 from skewloci.linalg import det, mat
 from skewloci.polys import (
+    MAX_ENUM_POINTS,
     MPoly,
+    _enumeration_search,
     binary_form_to_poly,
     common_projective_zero,
     resultant_wrt,
     ring_det,
 )
+from skewloci.projective import projective_reps
 
 
 def _vars(field, n=3):
@@ -178,6 +181,43 @@ def test_common_zero_shared_component_enumeration():
     for f in [x * y, x * z]:
         lifted = f.map_coeffs(res.embedding)
         assert lifted.evaluate(res.point).is_zero()
+
+
+def _plane_scan_search(field, forms):
+    """The enumeration before points_by_lines: every point of P^2 per tower level."""
+    for d in (1, 2, 3):
+        q = field.order**d
+        if q * q + q + 1 > MAX_ENUM_POINTS:
+            break
+        K, emb = (field, identity_embedding(field)) if d == 1 else extend_field(field, d, seed=0)
+        lifted = [f.map_coeffs(emb) for f in forms]
+        for p in projective_reps(K, 3):
+            if all(f.evaluate(p).is_zero() for f in lifted):
+                return K, list(p)
+    return None
+
+
+def test_enumeration_search_matches_the_plane_scan():
+    rng = random.Random(0)
+    levels = set()
+    for _ in range(24):
+        F = PrimeField(rng.choice((3, 3, 5)))
+        forms = []
+        for _ in range(rng.choice((2, 2, 3))):
+            d = rng.randint(1, 3)
+            forms.append(MPoly(F, 3, {
+                (a, b, d - a - b): rng.randrange(F.order)
+                for a in range(d + 1) for b in range(d + 1 - a)
+            }))
+        forms = [f for f in forms if f.degree() > 0]
+        if not forms:
+            continue
+        res = _enumeration_search(F, forms)
+        expect = _plane_scan_search(F, forms)
+        assert ((res.point_field, res.point) if res.found else None) == expect
+        levels.add(expect[0].degree if expect else None)
+    # rational hits, climbs to F_{q^2} and F_{q^3}, and exhausted towers
+    assert levels == {1, 2, 3, None}
 
 
 def test_common_zero_rational_witness_over_q():
