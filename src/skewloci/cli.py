@@ -42,10 +42,23 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+def _inline_refs(node, defs):
+    """A copy of node with each {"$ref": "#/$defs/<name>"} inlined."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            return _inline_refs(defs[node["$ref"].rsplit("/", 1)[1]], defs)
+        return {k: _inline_refs(v, defs) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_inline_refs(v, defs) for v in node]
+    return node
+
+
 @functools.cache
 def _validator(definition_name: str):
+    """One definition's validator, its $refs inlined: the schema has no
+    recursion and no $ref with siblings, and errors record no $ref step."""
     defs = load_schema()["$defs"]
-    return jsonschema.Draft202012Validator({**defs[definition_name], "$defs": defs})
+    return jsonschema.Draft202012Validator(_inline_refs(defs[definition_name], defs))
 
 
 def _validate_or_messages(instance, definition_name: str) -> list:

@@ -210,23 +210,6 @@ class CohomologyTable:
             f"{len(self.conflicts())} conflict(s))"
         )
 
-    @classmethod
-    def synthetic(cls, n, m, entries, window):
-        """Hand-built table for testing the Buchsbaum check on raw data."""
-        lo, hi = window
-        rows = []
-        for p in range(lo, hi + 1):
-            vec = [0] * (n + 1)
-            for (i, q), v in entries.items():
-                if q == p:
-                    vec[i] = v
-            chi = en_chi_ideal(n, m, p)
-            row_chi = sum((-1) ** i * x for i, x in enumerate(vec))
-            rows.append(TableRow(
-                p, vec, ["EN-predicted"] * (n + 1), {}, chi, row_chi == chi,
-            ))
-        return cls(n, m, rows)
-
 
 def default_window(n: int, m: int):
     """Twist range covering the predicted band with one step of margin."""

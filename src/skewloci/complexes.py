@@ -19,7 +19,6 @@ from .fields import Field, FieldElement
 from .linalg import (
     PAIRS,
     check_skew,
-    kernel,
     mat_vec,
     pairs_from_skew,
     pfaffian,
@@ -40,10 +39,11 @@ class LinearComplex:
     """A skew form on k^6 up to scale, acting on lines via the wedge pairing.
 
     The matrix is normalized so its first nonzero upper-triangular entry is 1,
-    making equality of complexes projective equality.
+    making equality of complexes projective equality.  The kernel is
+    computed once, and rank, classify and complex_class read it.
     """
 
-    __slots__ = ("field", "matrix")
+    __slots__ = ("field", "matrix", "_kernel")
 
     def __init__(self, field: Field, matrix):
         M = [[field(x) for x in row] for row in matrix]
@@ -58,6 +58,7 @@ class LinearComplex:
             M = [[x * inv for x in row] for row in M]
         self.field = field
         self.matrix = M
+        self._kernel = None
 
     @classmethod
     def from_pairs(cls, field: Field, coeffs):
@@ -70,7 +71,7 @@ class LinearComplex:
         return all(x.is_zero() for x in self.coeffs())
 
     def rank(self) -> int:
-        return rank(self.field, self.matrix)
+        return 6 - self.kernel_space().dim
 
     def pf(self) -> FieldElement:
         return pfaffian_field(self.field, self.matrix)
@@ -98,7 +99,9 @@ class LinearComplex:
 
     def kernel_space(self) -> Subspace:
         """The singular locus source: a line for rank 4, a 3-space for rank 2."""
-        return Subspace.from_kernel_of(self.field, self.matrix)
+        if self._kernel is None:
+            self._kernel = Subspace.from_kernel_of(self.field, self.matrix)
+        return self._kernel
 
     def complex_class(self) -> "ComplexClass":
         kind = self.classify()
@@ -283,7 +286,7 @@ def special_fiber(field: Field, line: Subspace) -> Subspace:
                 elif b == i:
                     row[k] = row[k] - v[a]
             rows.append(row)
-    fib = Subspace(field, 15, kernel(field, rows))
+    fib = Subspace.from_kernel_of(field, rows)
     if fib.dim != 6:
         raise PreconditionError("kernel constraints degenerated; input is not a line")
     return fib

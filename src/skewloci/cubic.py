@@ -382,11 +382,6 @@ def class_of(C: PlaneCubic, entries) -> DivisorClass:
     return DivisorClass(C, degree, S)
 
 
-def class_zero(C: PlaneCubic) -> DivisorClass:
-    O = _require_base(C)
-    return DivisorClass(C, 0, O)
-
-
 def class_add(a: DivisorClass, b: DivisorClass) -> DivisorClass:
     if a.curve != b.curve:
         raise PreconditionError("classes live on different curves")

@@ -13,6 +13,8 @@ extension by extend_field.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 import random
 import sys
@@ -816,28 +818,38 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _equal_degree_factor(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus over odd-order fields for products of degree-d primes."""
+def _split(f: Poly, d: int, rng: random.Random) -> Poly:
+    """A proper monic factor of f, a product of degree-d primes over an
+    odd-order field, by one Cantor-Zassenhaus split."""
     field = f.field
-    if f.degree == d:
-        return [f.monic()]
-    q = field.order
-    exp = (q**d - 1) // 2
+    exp = (field.order**d - 1) // 2
     while True:
         a = Poly(field, [field.random(rng) for _ in range(f.degree)])
         if a.degree < 1:
             continue
         g = poly_gcd(a, f)
+        if not 0 < g.degree < f.degree:
+            g = poly_gcd(a.pow_mod(exp, f) - Poly(field, [1]), f)
         if 0 < g.degree < f.degree:
-            split = g
-        else:
-            b = a.pow_mod(exp, f) - Poly(field, [1])
-            split = poly_gcd(b, f)
-            if not (0 < split.degree < f.degree):
-                continue
-        left = _equal_degree_factor(split.monic(), d, rng)
-        right = _equal_degree_factor((f // split).monic(), d, rng)
-        return left + right
+            return g
+
+
+def _equal_degree_factor(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+    """Cantor-Zassenhaus over odd-order fields for products of degree-d primes."""
+    if f.degree == d:
+        return [f.monic()]
+    g = _split(f, d, rng)
+    return _equal_degree_factor(g, d, rng) + _equal_degree_factor((f // g).monic(), d, rng)
+
+
+def _one_root(f: Poly, rng: random.Random) -> FieldElement:
+    """One root of a monic f with deg(f) distinct roots in its field: split,
+    and keep only the smaller side."""
+    while f.degree > 1:
+        g = _split(f, 1, rng)
+        h = f // g
+        f = g if g.degree <= h.degree else h
+    return -f.c[0] / f.c[1]
 
 
 def factor(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
@@ -886,7 +898,9 @@ def is_irreducible(f: Poly) -> bool:
 # field extension with explicit embedding
 
 
+@functools.lru_cache(maxsize=64)
 def _find_irreducible(base: PrimeField, degree: int, seed: int) -> Poly:
+    """A pure function of its arguments, so each modulus is searched once."""
     p = base.char
     # deterministic sweep first, then a bounded seeded random search
     for a in range(1, min(p, 50)):
@@ -968,8 +982,6 @@ def _scan_roots(f: Poly) -> list[tuple[FieldElement, int]]:
 
 
 def _pollard_rho(n: int) -> int:
-    import math
-
     if n % 2 == 0:
         return 2
     rng = random.Random(0xC0FFEE ^ n)
@@ -1030,8 +1042,6 @@ def _int_divisors(n: int, cap: int = 100_000) -> list[int]:
 
 def _rational_roots(f: Poly) -> list[tuple[FieldElement, int]]:
     # clear denominators, then run the rational root test with multiplicities
-    import math
-
     den = 1
     for c in f.c:
         den = den * c.v.denominator // math.gcd(den, c.v.denominator)
@@ -1054,16 +1064,20 @@ def _rational_roots(f: Poly) -> list[tuple[FieldElement, int]]:
         raise UnsupportedFieldError(
             "rational root search: too many candidate fractions"
         )
-    seen = set()
+    # each s/b in lowest terms is tested once, b^n f(s/b) = 0 by integer
+    # Horner; a root of f not yet found is one of g, so only a hit deflates
+    lead, *rest = reversed(ints)
     for a in num_divs:
         for b in den_divs:
-            for sign in (1, -1):
-                cand = Fraction(sign * a, b)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                x = f.field(cand)
-                if g(x).is_zero():
+            if math.gcd(a, b) != 1:
+                continue
+            for s in (a, -a):
+                acc, pw = lead, 1
+                for c in rest:
+                    pw *= b
+                    acc = acc * s + c * pw
+                if acc == 0:
+                    x = f.field(Fraction(s, b))
                     g, mult = _deflate(g, x)
                     out.append((x, mult))
     return out
@@ -1079,7 +1093,8 @@ def roots(f: Poly, allow_extension: bool = False, seed: int = 0) -> RootResult:
     roots in the same order.  With
     allow_extension (degree <= 4 only) the remaining roots are returned over
     the splitting field, built over the prime field with an explicit
-    embedding.
+    embedding; each irreducible factor gives one root r by splitting, and
+    its other roots are the Frobenius conjugates r^(q^i).
     """
     if f.degree < 1:
         raise PreconditionError("root extraction needs degree >= 1")
@@ -1111,20 +1126,20 @@ def roots(f: Poly, allow_extension: bool = False, seed: int = 0) -> RootResult:
     higher = [(fac, mult) for fac, mult in facs if fac.degree > 1]
     if not higher:
         return RootResult(field, base_pairs)
-    import math
-
     lcm = 1
     for fac, _ in higher:
         lcm = lcm * fac.degree // math.gcd(lcm, fac.degree)
     ext, emb = extend_field(field, lcm, seed=seed)
+    rng = random.Random(seed)
     ext_pairs = []
     for fac, mult in higher:
         lifted = emb.map_poly(fac)
-        rr = roots(lifted, allow_extension=False, seed=seed)
-        got = sum(m for _, m in rr.pairs)
-        if got != fac.degree:
+        conj = [_one_root(lifted, rng)]
+        for _ in range(fac.degree - 1):
+            conj.append(conj[-1] ** field.order)
+        if len(set(conj)) != fac.degree or any(not lifted(r).is_zero() for r in conj):
             raise InconsistencyError("irreducible factor failed to split in the splitting field")
-        ext_pairs.extend((r, m * mult) for r, m in rr.pairs)
+        ext_pairs.extend((r, mult) for r in conj)
     ext_pairs.sort(key=lambda pm: ext.sort_key(pm[0].v))
     return RootResult(field, base_pairs + ext_pairs, splitting=(ext, emb))
 

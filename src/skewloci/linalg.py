@@ -24,10 +24,6 @@ PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
 
-def mat(field, rows):
-    return [[field(x) for x in row] for row in rows]
-
-
 def zeros(field, m, n):
     return [[field.zero for _ in range(n)] for _ in range(m)]
 
@@ -121,26 +117,28 @@ def rank(field, rows) -> int:
 
 
 def kernel(field, rows):
-    """Canonical basis (RREF rows) of the right kernel of the matrix."""
+    """Canonical basis (RREF rows) of the right kernel of the matrix.
+
+    One elimination, of the columns in reverse order: each pivot then lies
+    right of the free columns its row touches, so the kernel vectors in
+    increasing free column are already in reduced echelon form.
+    """
     if not rows:
         return []
     n = len(rows[0])
-    R, pivots = _rref_raw(field, [field._unwrap(r) for r in rows])
+    R, pivots = _rref_raw(field, [field._unwrap(r)[::-1] for r in rows])
     pivot_set = set(pivots)
     zero, one, neg = field.zero.v, field.one.v, field._neg
     basis = []
-    for f in range(n):
+    for f in range(n - 1, -1, -1):  # reversed column f is original n - 1 - f
         if f in pivot_set:
             continue
         v = [zero] * n
         v[f] = one
         for r, p in enumerate(pivots):
             v[p] = neg(R[r][f])
-        basis.append(v)
-    if not basis:
-        return []
-    out, _ = _rref_raw(field, basis)
-    return [_wrap(field, row) for row in out]
+        basis.append(_wrap(field, v[::-1]))
+    return basis
 
 
 def det(field, rows):
@@ -191,10 +189,6 @@ def solve(field, A, b):
     for r, p in enumerate(pivots):
         x[p] = R[r][n]
     return _wrap(field, x)
-
-
-def random_matrix(field, rng, m, n):
-    return [[field.random(rng) for _ in range(n)] for _ in range(m)]
 
 
 # ---------------------------------------------------------------------------

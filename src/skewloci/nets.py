@@ -101,16 +101,15 @@ def x_membership(phi, P) -> bool:
 def scroll_fiber(phi, lam) -> Subspace:
     """The projective kernel of the combination at lam."""
     field = phi.field
-    M = phi.combination(lam)
-    kern = kernel(field, M)
-    if not kern:
+    fib = Subspace.from_kernel_of(field, phi.combination(lam))
+    if not fib.dim:
         if (phi.n + 1) % 2 == 0:
             raise PreconditionError(
                 "the combination is nonsingular: the parameter misses the "
                 "Pfaffian hypersurface"
             )
         raise InconsistencyError("odd-size skew matrix with trivial kernel")
-    return Subspace(field, phi.n + 1, kern)
+    return fib
 
 
 def net_pfaffian_cubic(net: Net) -> PlaneCubic:
@@ -143,9 +142,9 @@ def rational_fibers(net: Net):
     combination's kernel, the scroll's fiber over lam."""
     field = net.field
     for lam in net_pfaffian_cubic(net).rational_points():
-        kern = kernel(field, net.combination(lam))
-        if len(kern) == 2:
-            yield lam, Subspace(field, 6, kern)
+        fib = Subspace.from_kernel_of(field, net.combination(lam))
+        if fib.dim == 2:
+            yield lam, fib
 
 
 def _proj_reps_array(q: int, n: int):
@@ -325,12 +324,11 @@ def probe_section(net: Net, f, g, seed: int = 0) -> ProbeTrial:
         params.append((field.zero, field.one))
     for alpha, beta in params:
         lam = param_point(alpha, beta)
-        kern = kernel(field, net.combination(lam))
-        if len(kern) != 2:
+        fib = Subspace.from_kernel_of(field, net.combination(lam))
+        if fib.dim != 2:
             non_generic = True
             note = "rank-2-member"
             continue
-        fib = Subspace(field, 6, kern)
         if all(x.is_zero() for row in mat_mul(fib.rows, transpose([f, g])) for x in row):
             non_generic = True
             note = "contains-fiber"

@@ -84,13 +84,15 @@ def pencil_singular_elements(pencil: Pencil, allow_extension: bool = False,
         )
     if b.degree >= 1:
         rr = roots(b, allow_extension=allow_extension, seed=seed)
+        lifted = None
         for r, mult in rr.pairs:
             if r.field == F:
                 member = pencil.member([F.one, r])
                 emb = ident
             else:
                 emb = rr.splitting[1]
-                lifted = pencil.map(emb)
+                if lifted is None:
+                    lifted = pencil.map(emb)
                 member = lifted.member([r.field.one, r])
             out.append(
                 SingularMember(

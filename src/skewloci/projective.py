@@ -3,8 +3,7 @@
 A Subspace stores the canonical reduced-echelon basis of a linear subspace of
 k^6, so equality of subspaces is equality of stored rows.  Lines (vector
 dimension 2) get Pluecker coordinates indexed by the 15 lexicographic index
-pairs; the inverse direction recovers a line from a decomposable coordinate
-vector through the rank-2 skew matrix it defines.
+pairs, and is_decomposable tells which 15-vectors are those of a line.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import itertools
 
 from .errors import PreconditionError
 from .fields import Field
-from .linalg import PAIR_INDEX, PAIRS, kernel, rank, rref, skew_from_pairs
+from .linalg import PAIR_INDEX, PAIRS, kernel, rref
 
 
 class Subspace:
@@ -43,10 +42,17 @@ class Subspace:
         return cls(field, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
+    def _reduced(cls, field: Field, n: int, rows) -> "Subspace":
+        """The subspace whose canonical basis is rows, already reduced."""
+        space = cls.__new__(cls)
+        space.field, space.n, space.rows = field, n, rows
+        return space
+
+    @classmethod
     def from_kernel_of(cls, field: Field, matrix) -> "Subspace":
         if not matrix:
             raise PreconditionError("kernel of an empty matrix is ambiguous")
-        return cls(field, len(matrix[0]), kernel(field, matrix))
+        return cls._reduced(field, len(matrix[0]), kernel(field, matrix))
 
     @property
     def dim(self) -> int:
@@ -75,7 +81,7 @@ class Subspace:
         """The subspace of covectors vanishing on this subspace."""
         if not self.rows:
             return Subspace.full(self.field, self.n)
-        return Subspace(self.field, self.n, kernel(self.field, self.rows))
+        return Subspace._reduced(self.field, self.n, kernel(self.field, self.rows))
 
     def __eq__(self, other):
         return (
@@ -101,15 +107,16 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via annihilators: ann(meet) = ann(a) + ann(b)."""
+    """Intersection by one Zassenhaus elimination: the reduced rows of
+    [a | a] over [b | 0] with a pivot in the right half are (0 | w), and
+    their w are the intersection's canonical basis."""
     if a.field != b.field or a.n != b.n:
         raise PreconditionError("subspaces live in different ambient spaces")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.field, a.n)
-    stacked = a.annihilator().basis() + b.annihilator().basis()
-    if not stacked:
-        return Subspace.full(a.field, a.n)
-    return Subspace(a.field, a.n, kernel(a.field, stacked))
+    n, pad = a.n, [a.field.zero] * a.n
+    R, pivots = rref(a.field, [r + r for r in a.rows] + [r + pad for r in b.rows])
+    return Subspace._reduced(a.field, n, [r[n:] for r, p in zip(R, pivots) if p >= n])
 
 
 def line_through(field: Field, p, q) -> Subspace:
@@ -159,17 +166,6 @@ def pluecker_relations(field: Field, p15):
         x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c)
         for a, b, c, d in itertools.combinations(range(6), 4)
     ]
-
-
-def line_from_pluecker(field: Field, p15) -> Subspace:
-    """The line whose Pluecker vector is proportional to the given one."""
-    A = skew_from_pairs(field, p15)
-    if rank(field, A) != 2:
-        raise PreconditionError("coordinates are not those of a line")
-    line = Subspace(field, 6, A)
-    if line.dim != 2:
-        raise PreconditionError("rank-2 matrix produced a degenerate row space")
-    return line
 
 
 def projective_reps(field: Field, d: int):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import shlex
@@ -619,3 +620,141 @@ def test_parser_and_validators_are_built_once(monkeypatch):
     assert len(parsers) == 1
     # runConfig and pfaffianInput, each once
     assert len(validators) == len(set(validators)) == 2
+
+
+@functools.cache
+def _defs_validator(name):
+    """The definition validated through $defs: the oracle of cli._validator."""
+    defs = SCHEMA["$defs"]
+    return jsonschema.Draft202012Validator({**defs[name], "$defs": defs})
+
+
+def _defs_messages(doc, name):
+    return [
+        f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
+        for err in sorted(_defs_validator(name).iter_errors(doc), key=str)
+    ]
+
+
+# the definitions main validates against
+_VALIDATED = sorted({"runConfig"} | {c.input_def for c in cli._COMMANDS.values() if c.input_def})
+_KEYS = sorted({k for d in SCHEMA["$defs"].values() for k in d.get("properties", {})})
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 2**65), st.floats(-2, 2),
+        st.sampled_from(("1/0", "3/4", "-2", "F7", "Q", "F7^2", "degree", "")),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=16),
+        st.dictionaries(st.sampled_from(_KEYS + ["extra"]), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@st.composite
+def _schema_documents(draw):
+    name = draw(st.sampled_from(_VALIDATED))
+    if draw(st.booleans()):
+        doc = draw(_JSON)
+    else:
+        # a pencil that validates, with some entries redrawn
+        doc = {"field": "F101", "generators": [list(range(15)), list(range(1, 16))]}
+        for _ in range(draw(st.integers(0, 3))):
+            g = draw(st.integers(0, 1))
+            doc["generators"][g][draw(st.integers(0, 14))] = draw(_JSON)
+    return name, doc
+
+
+def test_schema_refs_stand_alone():
+    """What inlining needs: each $ref is a whole subschema naming a definition."""
+    def walk(node):
+        if isinstance(node, dict):
+            if "$ref" in node:
+                assert len(node) == 1 and node["$ref"].startswith("#/$defs/")
+            for v in node.values():
+                walk(v)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v)
+
+    walk(SCHEMA)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_schema_documents())
+def test_inlined_validators_report_as_the_defs_validators(case):
+    name, doc = case
+    assert cli._validate_or_messages(doc, name) == _defs_messages(doc, name)
+
+
+_GOOD = [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+_OTHER = [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0]
+_NOT_SCALAR = "is not valid under any of the given schemas"
+
+# stderr of each usage error, pinned from the validators built through $defs
+_USAGE_ERRORS = [
+    (["pfaffian"], {"field": "F101", "pairs": _GOOD[:14]},
+     f"pairs: {_GOOD[:14]} is too short"),
+    (["pfaffian"], {"field": "F101", "pairs": ["1/0"] + _GOOD[1:]},
+     f"pairs/0: '1/0' {_NOT_SCALAR}"),
+    (["pfaffian"], {"field": "F101", "pairs": [1.5] + _GOOD[1:]},
+     f"pairs/0: 1.5 {_NOT_SCALAR}"),
+    (["complex", "classify"], {"field": "Q", "pairs": _GOOD[:14]},
+     f"pairs: {_GOOD[:14]} is too short"),
+    (["complex", "classify"], {"field": "Q", "pairs": "abc"},
+     "pairs: 'abc' is not of type 'array'"),
+    (["complex", "classify"], {"field": 7, "pairs": _GOOD},
+     f"field: 7 {_NOT_SCALAR}\nskewloci: config: field: 7 is not of type 'string'"),
+    (["pencil", "analyze"], {"field": "F101", "generators": [_GOOD, _OTHER + [0]]},
+     f"generators/1: {_OTHER + [0]} is too long"),
+    (["pencil", "analyze"], {"field": "F101", "generators": [["3/-4"] + _GOOD[1:], _OTHER]},
+     f"generators/0/0: '3/-4' {_NOT_SCALAR}"),
+    (["pencil", "analyze"], {"field": "F101", "generators": [_GOOD, [True] + _OTHER[1:]]},
+     f"generators/1/0: True {_NOT_SCALAR}"),
+    (["pencil", "analyze"], {"field": 7, "generators": [["1/0", 1.5] * 7, "x"]},
+     "\nskewloci: config: ".join(
+         [f"field: 7 {_NOT_SCALAR}"]
+         + [f"generators/0/{i}: '1/0' {_NOT_SCALAR}" for i in (0, 10, 12, 2, 4, 6, 8)]
+         + ["generators/1: 'x' is not of type 'array'"]
+         + [f"generators/0/{i}: 1.5 {_NOT_SCALAR}" for i in (11, 13, 1, 3, 5, 7, 9)]
+         + ["field: 7 is not of type 'string'",
+            f"generators/0: {['1/0', 1.5] * 7} is too short"]
+     )),
+]
+
+
+@pytest.mark.parametrize("head, doc, errors", _USAGE_ERRORS)
+def test_usage_errors_keep_their_bytes(head, doc, errors):
+    assert _run_quietly(head + [json.dumps(doc)]) == (2, "", f"skewloci: config: {errors}\n")
+
+
+@pytest.mark.parametrize("head, key", [
+    (["pfaffian"], "pairs"), (["complex", "classify"], "pairs"),
+    (["pencil", "analyze"], "generators"),
+])
+def test_an_extra_input_key_is_ignored(head, key):
+    doc = {"field": "F101", key: [_GOOD, _OTHER] if key == "generators" else _GOOD}
+    plain = _run_quietly(head + [json.dumps(doc)])
+    code, out, err = _run_quietly(head + [json.dumps({**doc, "extra": [1, 2]})])
+    assert (code, err) == (0, "") and plain[0] == 0
+    assert json.loads(out)["result"] == json.loads(plain[1])["result"]
+
+
+def test_warm_pencil_analyze_matches_a_cold_one():
+    """The second request reuses the splitting field's modulus, and its
+    report keeps every byte."""
+    from skewloci import fields
+
+    # an F101 pencil whose Pfaffian cubic is irreducible
+    gens = [[87, 42, 60, 71, 12, 45, 55, 40, 78, 81, 26, 70, 61, 56, 66],
+            [33, 7, 70, 1, 11, 92, 51, 90, 100, 85, 80, 0, 78, 63, 42]]
+    argv = ["pencil", "analyze", json.dumps({"field": "F101", "generators": gens})]
+    for cached in (fields._find_irreducible, cli._validator, cli.build_parser):
+        cached.cache_clear()
+    cold = _run_quietly(argv)
+    hits = fields._find_irreducible.cache_info().hits
+    warm = _run_quietly(argv)
+    assert fields._find_irreducible.cache_info().hits == hits + 1
+    assert cold == warm
+    assert cold[0] == 0 and json.loads(cold[1])["result"]["verdict"] == "expected-dim-1"

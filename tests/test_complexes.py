@@ -4,7 +4,7 @@ import pytest
 
 from skewloci.errors import DegenerateInputError, PreconditionError
 from skewloci.fields import PrimeField
-from skewloci.linalg import PAIRS, mat_mul, random_matrix, rank, transpose
+from skewloci.linalg import PAIRS, mat_mul, rank, transpose
 from skewloci.complexes import (
     GENERAL,
     SPECIAL_FIRST,
@@ -34,7 +34,7 @@ def _random_line(field, rng):
 
 def _congruence(field, rng, A):
     while True:
-        P = random_matrix(field, rng, 6, 6)
+        P = [[field.random(rng) for _ in range(6)] for _ in range(6)]
         if rank(field, P) == 6:
             return mat_mul(transpose(P), mat_mul(A, P))
 

@@ -17,7 +17,6 @@ from skewloci.cubic import (
     class_eq,
     class_neg,
     class_of,
-    class_zero,
     halvings,
     hyperplane_class,
     line_section,
@@ -156,7 +155,7 @@ def test_two_torsion_contains_trivial_and_closes():
     F = PrimeField(13)
     C = _anchor(F)
     rep = two_torsion(C)
-    assert any(class_eq(c, class_zero(C)) for c in rep.classes)
+    assert any(class_eq(c, class_of(C, [])) for c in rep.classes)
     reps = {tuple(c.rep) for c in rep.classes}
     for a in rep.classes:
         for b in rep.classes:
@@ -166,7 +165,7 @@ def test_two_torsion_contains_trivial_and_closes():
 def test_halvings_of_zero_are_torsion():
     F = PrimeField(13)
     C = _anchor(F)
-    sols = halvings(C, class_zero(C))
+    sols = halvings(C, class_of(C, []))
     assert set(sols) == {c.rep for c in two_torsion(C).classes}
 
 

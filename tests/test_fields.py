@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewloci import fields
 from skewloci.cubic import PlaneCubic
 from skewloci.errors import PreconditionError, UnsupportedFieldError
 from skewloci.fields import (
@@ -16,7 +18,10 @@ from skewloci.fields import (
     Poly,
     PRIME_BOUND,
     PrimeField,
+    _deflate,
+    _int_divisors,
     _is_probable_prime,
+    _rational_roots,
     extend_field,
     SCAN_LIMIT,
     _scan_roots,
@@ -31,7 +36,7 @@ from skewloci.fields import (
 )
 from skewloci.complexes import GenericMorphism, LinearComplex
 from skewloci.linalg import (
-    det, kernel, mat, mat_mul, mat_vec, rank, rref, skew_from_pairs, solve,
+    det, kernel, mat_mul, mat_vec, rank, rref, skew_from_pairs, solve,
 )
 from skewloci.nets import x_membership
 from skewloci.polys import MPoly, specialize_last
@@ -472,7 +477,6 @@ def test_cross_field_mixing_still_raises():
     skew7 = skew_from_pairs(F7, e01)
     phi = GenericMorphism(F49, [skew_from_pairs(F49, [1] + [0] * 14)])
     for call in (lambda: F49(F7(1)),
-                 lambda: mat(F49, [[F7(1), F7(2)]]),
                  lambda: Subspace(F49, 2, [[F7(1), F7(2)]]),
                  lambda: skew_from_pairs(F49, e01),
                  lambda: LinearComplex(F49, skew7),
@@ -524,3 +528,133 @@ def test_roots_match_the_scan_on_both_sides_of_the_limit(make):
             g = Poly(F, [r * r, -2 * r, 1]) * Poly(F, [F.random(rng) for _ in range(d - 2)] + [1])
             for h in (f, g):
                 assert roots(h).pairs == _scan_roots(h)
+
+
+def _rational_roots_by_fractions(f):
+    """The Fraction-scan rational root test: the oracle of _rational_roots."""
+    den = 1
+    for c in f.c:
+        den = den * c.v.denominator // math.gcd(den, c.v.denominator)
+    ints = [int(c.v * den) for c in f.c]
+    out = []
+    g = f
+    if ints and ints[0] == 0:
+        zero = f.field.zero
+        g, mult = _deflate(g, zero)
+        out.append((zero, mult))
+        while ints and ints[0] == 0:
+            ints = ints[1:]
+    if not ints:
+        return out
+    seen = set()
+    den_divs = _int_divisors(ints[-1])
+    for a in _int_divisors(ints[0]):
+        for b in den_divs:
+            for sign in (1, -1):
+                cand = Fraction(sign * a, b)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                x = f.field(cand)
+                if g(x).is_zero():
+                    g, mult = _deflate(g, x)
+                    out.append((x, mult))
+    return out
+
+
+# small enough that the oracle's candidate scan stays short
+_PLANTED_ROOT = st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(1, 9), st.integers(1, 2)),
+    st.tuples(st.integers(-12, 12), st.sampled_from((999_983, 2**31 - 1)), st.just(1)),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    planted=st.lists(_PLANTED_ROOT, min_size=1, max_size=3),
+    zero_mult=st.integers(0, 2),
+    content=st.sampled_from((Fraction(1), Fraction(-7, 3), Fraction(12))),
+    irrational=st.booleans(),
+)
+def test_integer_root_test_matches_the_fraction_scan(planted, zero_mult, content, irrational):
+    f = Poly(QQ, [0] * zero_mult + [content])
+    want = {}
+    for a, b, m in planted:
+        r = Fraction(a, b)
+        want[r] = want.get(r, 0) + m
+        for _ in range(m):
+            f = f * Poly(QQ, [-r, 1])
+    if irrational:
+        f = f * Poly(QQ, [-2, 0, 1])  # no rational root
+    got = _rational_roots(f)
+    assert got == _rational_roots_by_fractions(f)
+    if zero_mult:
+        want[Fraction(0)] = want.get(Fraction(0), 0) + zero_mult
+    assert {r.v: m for r, m in got} == want
+
+
+def _roots_by_full_split(f, seed=0):
+    """Factor, then split each lifted factor completely over the splitting
+    field: the oracle of roots(..., allow_extension=True)."""
+    field = f.field
+    facs = factor(f, seed=seed)
+    base = sorted(
+        ((-fac.c[0] / fac.c[1], m) for fac, m in facs if fac.degree == 1),
+        key=lambda pm: field.sort_key(pm[0].v),
+    )
+    higher = [(fac, m) for fac, m in facs if fac.degree > 1]
+    if not higher:
+        return base, None
+    lcm = 1
+    for fac, _ in higher:
+        lcm = lcm * fac.degree // math.gcd(lcm, fac.degree)
+    ext, emb = extend_field(field, lcm, seed=seed)
+    ext_pairs = []
+    for fac, mult in higher:
+        rr = roots(emb.map_poly(fac), seed=seed)
+        assert sum(m for _, m in rr.pairs) == fac.degree
+        ext_pairs.extend((r, m * mult) for r, m in rr.pairs)
+    ext_pairs.sort(key=lambda pm: ext.sort_key(pm[0].v))
+    return base + ext_pairs, ext
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrimeField(3), lambda: PrimeField(5), lambda: PrimeField(7),
+    lambda: PrimeField(13), lambda: PrimeField(101),
+    lambda: extend_field(PrimeField(7), 2)[0],
+], ids=["F3", "F5", "F7", "F13", "F101", "F7^2"])
+def test_frobenius_conjugates_match_factor_then_split(make):
+    F = make()
+    rng = random.Random(F.order)
+    seen = set()
+    for _ in range(60):
+        d = rng.randint(2, 4)
+        f = Poly(F, [F.random(rng) for _ in range(d)] + [1])
+        if rng.random() < 0.3:
+            f = f * Poly(F, [F.random(rng), 1])  # a rational root, or a double
+        if f.degree > 4:
+            continue
+        seed = rng.randrange(3)
+        rr = roots(f, allow_extension=True, seed=seed)
+        pairs, ext = _roots_by_full_split(f, seed)
+        assert rr.pairs == pairs
+        assert (rr.splitting[0] if rr.splitting else None) == ext
+        seen.update(fac.degree for fac, _ in factor(f))
+    assert {2, 3, 4} <= seen
+
+
+def test_a_second_extension_runs_no_irreducibility_test(monkeypatch):
+    calls = []
+    real = fields.is_irreducible
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(fields, "is_irreducible", counting)
+    F101 = PrimeField(101)
+    first, _ = extend_field(F101, 3)
+    calls.clear()
+    second, _ = extend_field(F101, 3)
+    assert calls == []
+    assert second == first

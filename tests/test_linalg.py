@@ -9,13 +9,11 @@ from skewloci.linalg import (
     det,
     identity,
     kernel,
-    mat,
     mat_mul,
     mat_vec,
     pairs_from_skew,
     pfaffian_field,
     rank,
-    random_matrix,
     rref,
     skew_from_pairs,
     solve,
@@ -23,6 +21,14 @@ from skewloci.linalg import (
     transpose,
     zeros,
 )
+
+
+def mat(field, rows):
+    return [[field(x) for x in row] for row in rows]
+
+
+def random_matrix(field, rng, m, n):
+    return [[field.random(rng) for _ in range(n)] for _ in range(m)]
 
 
 def test_rref_canonical_and_idempotent():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -352,3 +353,40 @@ def test_alpha_nonreduced_reported():
     assert all(m.kind == SPECIAL_FIRST for m in sings)
     rep = alpha(pen)
     assert rep.verdict == "non-reduced"
+
+
+# a random F101 pencil whose binary Pfaffian cubic is irreducible: its three
+# singular members live over F_{101^3}
+IRREDUCIBLE_F101 = (
+    [87, 42, 60, 71, 12, 45, 55, 40, 78, 81, 26, 70, 61, 56, 66],
+    [33, 7, 70, 1, 11, 92, 51, 90, 100, 85, 80, 0, 78, 63, 42],
+)
+
+
+def test_alpha_eliminates_once_per_member_for_its_kernel(monkeypatch):
+    """rank, classify, kernel_space and complex_class share one kernel."""
+    import skewloci.linalg as linalg
+
+    calls = []
+    real = linalg._rref_raw
+
+    def counting(field, R):
+        frame = sys._getframe(1)
+        while frame is not None:
+            owner = frame.f_locals.get("self")
+            if isinstance(owner, LinearComplex):
+                calls.append(owner)
+                break
+            frame = frame.f_back
+        return real(field, R)
+
+    monkeypatch.setattr(linalg, "_rref_raw", counting)
+    pen = Pencil.from_pair_vectors(PrimeField(101), IRREDUCIBLE_F101)
+    rep = alpha(pen)
+    assert rep.verdict == "expected-dim-1"
+    assert {m.complex.field.degree for m in rep.members} == {3}
+    for m in rep.members:
+        m.complex.rank()
+        m.complex.complex_class()
+    assert len(calls) == len(rep.members) == 3
+    assert {id(cx) for cx in calls} == {id(m.complex) for m in rep.members}

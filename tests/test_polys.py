@@ -4,7 +4,7 @@ import pytest
 
 from skewloci.errors import UnsupportedFieldError
 from skewloci.fields import QQ, PrimeField, extend_field, identity_embedding
-from skewloci.linalg import det, mat
+from skewloci.linalg import det
 from skewloci.polys import (
     MAX_ENUM_POINTS,
     MPoly,

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from skewloci.errors import PreconditionError
-from skewloci.fields import QQ, PrimeField
-from skewloci.linalg import PAIRS, rank, skew_from_pairs
+from skewloci.fields import QQ, PrimeField, extend_field
+from skewloci.linalg import PAIRS, kernel, rank, skew_from_pairs
 from skewloci.projective import (
     Subspace,
     is_decomposable,
     join,
-    line_from_pluecker,
     line_through,
     meet,
     normalize_projective,
@@ -18,6 +17,15 @@ from skewloci.projective import (
     projective_reps,
     subspace_points,
 )
+
+
+def line_from_pluecker(field, p15):
+    """The line with a given Pluecker vector: the row space of its rank-2
+    skew matrix."""
+    A = skew_from_pairs(field, p15)
+    if rank(field, A) != 2:
+        raise PreconditionError("coordinates are not those of a line")
+    return Subspace(field, 6, A)
 
 
 def _random_subspace(field, rng, dim, n=6):
@@ -162,3 +170,35 @@ def test_meet_over_q():
     m = meet(a, b)
     assert m.dim == 1
     assert m.contains_vector([0, 0, 1, 0, 0, 0])
+
+
+def _meet_by_annihilators(a, b):
+    """The annihilator meet, ann(a meet b) = ann(a) + ann(b): the oracle."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.field, a.n)
+    stacked = a.annihilator().basis() + b.annihilator().basis()
+    if not stacked:
+        return Subspace.full(a.field, a.n)
+    return Subspace(a.field, a.n, kernel(a.field, stacked))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrimeField(7), lambda: extend_field(PrimeField(7), 2)[0], lambda: QQ,
+], ids=["F7", "F7^2", "Q"])
+def test_zassenhaus_meet_matches_the_annihilator_meet(make):
+    F = make()
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        # a shared part makes the intersection nontrivial most of the time
+        common = [[F.random(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        a = Subspace(F, n, common + [[F.random(rng) for _ in range(n)]
+                                     for _ in range(rng.randint(0, n))])
+        b = Subspace(F, n, common[: rng.randint(0, len(common))]
+                     + [[F.random(rng) for _ in range(n)] for _ in range(rng.randint(0, 2))])
+        for x, y in ((a, b), (b, a), (a, a), (a, Subspace.zero(F, n)),
+                     (Subspace.full(F, n), b), (Subspace.full(F, n), Subspace.full(F, n))):
+            got = meet(x, y)
+            assert got == _meet_by_annihilators(x, y)
+            # the rows it trusts as reduced are the canonical basis
+            assert Subspace(F, n, got.rows) == got
