@@ -166,7 +166,6 @@ def run_pencil(field, doc, args):
 def run_net(field, doc, args):
     from .errors import DegenerateInputError, UnsupportedFieldError
     from .nets import (
-        EXHAUSTIVE_PRIME_CAP,
         Net,
         count_scroll_points,
         degree_probe,
@@ -174,6 +173,7 @@ def run_net(field, doc, args):
         net_pfaffian_cubic,
         net_type,
     )
+    from .projective import is_exhaustive_prime
 
     net = Net.from_pair_vectors(field, _decode_pairs_vectors(field, doc, 3))
     seed, trials = args.seed, args.trials
@@ -210,7 +210,11 @@ def run_net(field, doc, args):
         }
 
     count_obj = None
-    if field.order is not None and field.degree == 1 and field.char <= EXHAUSTIVE_PRIME_CAP:
+    if not is_exhaustive_prime(field):
+        notes.append("exhaustive counting is limited to prime fields up to 11")
+    elif cubic is None:
+        notes.append("exhaustive count skipped: the net's Pfaffian vanishes identically")
+    else:
         rep = count_scroll_points(net)
         count_obj = {
             "q": rep.q,
@@ -220,8 +224,6 @@ def run_net(field, doc, args):
             "ranks_all_four": rep.ranks_all_four,
             "fibers_disjoint": rep.fibers_disjoint,
         }
-    else:
-        notes.append("exhaustive counting is limited to prime fields up to 11")
 
     directrix_obj = None
     if trep.kind != "general":

@@ -14,9 +14,12 @@ variables.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import DegenerateInputError, PreconditionError
 from .fields import Field, FieldElement
 from .linalg import (
+    PAIR_INDEX,
     PAIRS,
     check_skew,
     mat_vec,
@@ -28,7 +31,15 @@ from .linalg import (
     zeros,
 )
 from .polys import MPoly
-from .projective import Subspace, is_decomposable, join, meet, subspace_points
+from .projective import (
+    Subspace,
+    count_common_zeros,
+    is_decomposable,
+    is_exhaustive_prime,
+    join,
+    meet,
+    subspace_points,
+)
 
 GENERAL = "general"
 SPECIAL_FIRST = "special-first-type"
@@ -326,5 +337,18 @@ def fiber_rank2_points(field: Field, line: Subspace):
             yield coeffs
 
 
+def _pluecker_condition(a, b, c, d):
+    """The relation of pluecker_relations for a < b < c < d, on a batch of points."""
+    ab, cd, ac, bd, ad, bc = (
+        PAIR_INDEX[p] for p in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c))
+    )
+    return lambda P: P[:, ab] * P[:, cd] - P[:, ac] * P[:, bd] + P[:, ad] * P[:, bc]
+
+
 def fiber_rank2_count(field: Field, line: Subspace) -> int:
-    return sum(1 for _ in fiber_rank2_points(field, line))
+    """How many points fiber_rank2_points yields; over F_q, q <= 11, by one
+    batch scan of the fiber (an independent basis, so no zero point)."""
+    if not is_exhaustive_prime(field):
+        return sum(1 for _ in fiber_rank2_points(field, line))
+    relations = [_pluecker_condition(*s) for s in itertools.combinations(range(6), 4)]
+    return count_common_zeros(field, special_fiber(field, line).rows, relations)

@@ -852,6 +852,18 @@ def _one_root(f: Poly, rng: random.Random) -> FieldElement:
     return -f.c[0] / f.c[1]
 
 
+def frobenius_orbit(f: Poly, emb: Embedding, rng: random.Random) -> list[FieldElement]:
+    """The roots r, r^q, ..., r^(q^(d-1)) in emb.dst of a monic irreducible f
+    of degree d over F_q: r by splitting, then its checked conjugates."""
+    lifted = emb.map_poly(f)
+    conj = [_one_root(lifted, rng)]
+    for _ in range(f.degree - 1):
+        conj.append(conj[-1] ** f.field.order)
+    if len(set(conj)) != f.degree or any(not lifted(r).is_zero() for r in conj):
+        raise InconsistencyError("irreducible factor failed to split in the splitting field")
+    return conj
+
+
 def factor(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
     """Full factorization over a finite field: list of (monic irreducible, multiplicity)."""
     field = f.field
@@ -1133,13 +1145,7 @@ def roots(f: Poly, allow_extension: bool = False, seed: int = 0) -> RootResult:
     rng = random.Random(seed)
     ext_pairs = []
     for fac, mult in higher:
-        lifted = emb.map_poly(fac)
-        conj = [_one_root(lifted, rng)]
-        for _ in range(fac.degree - 1):
-            conj.append(conj[-1] ** field.order)
-        if len(set(conj)) != fac.degree or any(not lifted(r).is_zero() for r in conj):
-            raise InconsistencyError("irreducible factor failed to split in the splitting field")
-        ext_pairs.extend((r, mult) for r in conj)
+        ext_pairs.extend((r, mult) for r in frobenius_orbit(fac, emb, rng))
     ext_pairs.sort(key=lambda pm: ext.sort_key(pm[0].v))
     return RootResult(field, base_pairs + ext_pairs, splitting=(ext, emb))
 

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import factor, poly_gcd, roots
+from .fields import Poly, factor, poly_gcd, roots
 from .linalg import (
     PAIRS,
     identity,
@@ -44,9 +44,11 @@ from .linalg import (
     sub_pfaffians_6,
     transpose,
 )
-from .polys import MPoly, binary_form_to_poly, common_projective_zero, points_by_lines
+from .polys import MPoly, common_projective_zero, points_by_lines
 from .projective import (
     Subspace,
+    count_common_zeros,
+    is_exhaustive_prime,
     line_through,
     meet,
     pluecker_of_line,
@@ -54,13 +56,9 @@ from .projective import (
     subspace_points,
 )
 
-EXHAUSTIVE_PRIME_CAP = 11
-# rows of P^5(F_q) per slice in count_scroll_points
-SCAN_CHUNK = 1 << 14
-
 
 def _form_value(A, x, y, zero):
-    """x^T A y for a skew A; x, y hold scalars or binary forms (x forms if y holds forms)."""
+    """x^T A y for a skew A and scalar vectors x, y."""
     return sum(((x[i] * y[j] - x[j] * y[i]) * A[i][j] for i, j in PAIRS), start=zero)
 
 
@@ -147,24 +145,6 @@ def rational_fibers(net: Net):
             yield lam, fib
 
 
-def _proj_reps_array(q: int, n: int):
-    import numpy as np
-
-    blocks = []
-    for lead in range(n):
-        free = n - lead - 1
-        if free == 0:
-            block = np.zeros((1, n), dtype=np.int64)
-            block[0, lead] = 1
-        else:
-            grids = np.indices((q,) * free).reshape(free, -1).T
-            block = np.zeros((len(grids), n), dtype=np.int64)
-            block[:, lead] = 1
-            block[:, lead + 1 :] = grids
-        blocks.append(block)
-    return np.vstack(blocks)
-
-
 class ScrollCountReport:
     """Exhaustive point counts of the degeneracy locus and its base cubic."""
 
@@ -187,50 +167,42 @@ class ScrollCountReport:
         )
 
 
+def _minor_condition(a, b, c):
+    """The 3 x 3 minor on rows a, b, c of the matrices count_scroll_points scans."""
+    def det(P):
+        Ma, Mb, Mc = ([P[:, 6 * k + r] for k in range(3)] for r in (a, b, c))
+        return (
+            Ma[0] * (Mb[1] * Mc[2] - Mb[2] * Mc[1])
+            - Ma[1] * (Mb[0] * Mc[2] - Mb[2] * Mc[0])
+            + Ma[2] * (Mb[0] * Mc[1] - Mb[1] * Mc[0])
+        )
+    return det
+
+
 def count_scroll_points(net: Net) -> ScrollCountReport:
     """Scan all points of P^5(F_q) for membership and compare with the cubic.
 
-    fibered is the exact statement x_count = (q+1) * c_count; the two reported
-    side conditions (every rational cubic point has rank exactly 4, no two
-    fibers share a rational point) are what make it the expected outcome.
+    The cubic is asked for first, so a vanishing Pfaffian refuses before the
+    scan.  fibered is the exact statement x_count = (q+1) * c_count; the two
+    reported side conditions (every rational cubic point has rank exactly 4,
+    no two fibers share a rational point) make it the expected outcome.
     """
-    import numpy as np
-
     field = net.field
-    if field.order is None:
-        raise UnsupportedFieldError("exhaustive counting needs a finite field")
-    if field.degree != 1 or field.char > EXHAUSTIVE_PRIME_CAP:
-        raise PreconditionError(
-            "field too large for exhaustive mode (prime fields up to q = 11)"
-        )
-    q = field.char
-    mats = [
-        np.array([[x.v for x in row] for row in M], dtype=np.int64)
-        for M in net.matrices
-    ]
-    reps = _proj_reps_array(q, 6)
-    x_count = 0
-    # slices of SCAN_CHUNK points bound the temporaries' memory
-    for start in range(0, len(reps), SCAN_CHUNK):
-        block = reps[start:start + SCAN_CHUNK]
-        stacked = np.stack([(block @ A.T) % q for A in mats], axis=2)
-        ok = np.ones(len(block), dtype=bool)
-        for a, b, c in itertools.combinations(range(6), 3):
-            Ma, Mb, Mc = stacked[:, a, :], stacked[:, b, :], stacked[:, c, :]
-            det = (
-                Ma[:, 0] * (Mb[:, 1] * Mc[:, 2] - Mb[:, 2] * Mc[:, 1])
-                - Ma[:, 1] * (Mb[:, 0] * Mc[:, 2] - Mb[:, 2] * Mc[:, 0])
-                + Ma[:, 2] * (Mb[:, 0] * Mc[:, 1] - Mb[:, 1] * Mc[:, 0])
-            )
-            ok &= det % q == 0
-        x_count += int(ok.sum())
-    c_count = len(net_pfaffian_cubic(net).rational_points())
+    cubic = net_pfaffian_cubic(net)
+    # point p goes to the 6 x 3 matrix [A_1 p | A_2 p | A_3 p], laid out as
+    # the 18 columns 6k + i = (A_k p)_i, and lies on X when its 20 maximal
+    # minors vanish
+    rows = [[A[i][j] for A in net.matrices for i in range(6)] for j in range(6)]
+    minors = [_minor_condition(a, b, c) for a, b, c in itertools.combinations(range(6), 3)]
+    x_count = count_common_zeros(field, rows, minors)
+    c_count = len(cubic.rational_points())
     fibers = [line for _, line in rational_fibers(net)]
     # on the cubic the rank is at most 4, and exactly 4 iff the kernel is a line
     ranks_all_four = len(fibers) == c_count
     fibers_disjoint = all(
         meet(a, b).dim == 0 for a, b in itertools.combinations(fibers, 2)
     )
+    q = field.char
     fibered = x_count == (q + 1) * c_count
     return ScrollCountReport(q, x_count, c_count, fibered, ranks_all_four, fibers_disjoint)
 
@@ -403,12 +375,18 @@ def _isotropic_solutions(field, mats, p1, fib):
     return [[a * x + b * y for x, y in zip(u, v)] for a, b in kern]
 
 
-def _partner_maps(mats, X, fib, zero):
-    """Per nonzero row (a, b) = (A(X, u), A(X, v)): the map X -> b u - a v into fib."""
-    u, v = fib.rows
-    rows = [[_form_value(A, X, w, zero) for w in (u, v)] for A in mats]
-    return [[b * x - a * y for x, y in zip(u, v)] for a, b in rows
-            if not (a.is_zero() and b.is_zero())]
+def _partner_maps(mats, u, v, fib, zero):
+    """Per row (a, b) = (A(X, u'), A(X, v')) not vanishing at both X = u and
+    X = v: the images at u and at v of the linear map X -> b u' - a v' into
+    fib = <u', v'>."""
+    u2, v2 = fib.rows
+    maps = []
+    for A in mats:
+        at_u, at_v = ([_form_value(A, X, w, zero) for w in (u2, v2)] for X in (u, v))
+        if all(x.is_zero() for x in at_u + at_v):
+            continue
+        maps.append(tuple([b * x - a * y for x, y in zip(u2, v2)] for a, b in (at_u, at_v)))
+    return maps
 
 
 def _plane_points(field, mats, f1, f2, f3):
@@ -417,18 +395,24 @@ def _plane_points(field, mats, f1, f2, f3):
     For p = s u + t v and partner maps P2, P3 onto f2, f3, every binary
     quadratic A_j(P2(p), P3(p)) vanishes at a plane point (so does one whose
     row vanishes there): the candidates are the base-field roots of their
-    gcd, (0:1) last.  None when every quadratic vanishes identically.
+    gcd, (0:1) last.  None when every quadratic vanishes identically.  The
+    maps are linear in p, so each quadratic's coefficients are four values
+    of A_j at the images of u and v.
     """
     u, v = f1.rows
-    zero = MPoly.zero(field, 2)
-    X = [MPoly.variable(field, 2, 0) * a + MPoly.variable(field, 2, 1) * b
-         for a, b in zip(u, v)]
+    zero = field.zero
     g, drop = None, None
-    for P2 in _partner_maps(mats, X, f2, zero):
-        for P3 in _partner_maps(mats, X, f3, zero):
-            for Q in (_form_value(A, P2, P3, zero) for A in mats):
-                if not Q.is_zero():
-                    p, d = binary_form_to_poly(Q, 0, 1)
+    for P2u, P2v in _partner_maps(mats, u, v, f2, zero):
+        for P3u, P3v in _partner_maps(mats, u, v, f3, zero):
+            for A in mats:
+                coeffs = [
+                    _form_value(A, P2u, P3u, zero),
+                    _form_value(A, P2u, P3v, zero) + _form_value(A, P2v, P3u, zero),
+                    _form_value(A, P2v, P3v, zero),
+                ]
+                p = Poly(field, coeffs)
+                if not p.is_zero():
+                    d = 2 - p.degree
                     g, drop = (p, d) if g is None else (poly_gcd(g, p), min(drop, d))
     if g is None:
         return None
@@ -683,7 +667,7 @@ def type2_singular_locus_check(
     if three.proj_dim != 3:
         raise InconsistencyError("rank-2 complex with singular space not a 3-space")
     rng = random.Random(seed)
-    if field.char <= EXHAUSTIVE_PRIME_CAP and field.degree == 1:
+    if is_exhaustive_prime(field):
         pts = list(subspace_points(three))
     else:
         pts = [random_vector(three, rng) for _ in range(200)]

@@ -21,6 +21,7 @@ from .fields import (
     compose_embeddings,
     extend_field,
     factor,
+    frobenius_orbit,
     identity_embedding,
     poly_gcd,
     roots,
@@ -420,12 +421,15 @@ def _root_with_leg(g: Poly, seed: int):
     if lin:
         f = lin[0]
         return -f.c[0] / f.c[1], None
-    f = facs[0][0]
-    ext, leg = extend_field(K, f.degree, seed=seed)
-    rr = roots(leg.map_poly(f), seed=seed)
-    if not rr.pairs:
-        raise InconsistencyError("irreducible factor has no root in its own splitting field")
-    return rr.pairs[0][0], leg
+    return _orbit_root(facs[0][0], seed)
+
+
+def _orbit_root(f: Poly, seed: int):
+    """(r, emb) for an irreducible f of degree d >= 2 over F_q: r is the first
+    root in sort_key order, over F_{q^d}, and emb embeds F_q there."""
+    ext, emb = extend_field(f.field, f.degree, seed=seed)
+    orbit = frobenius_orbit(f, emb, random.Random(seed))
+    return min(orbit, key=lambda x: ext.sort_key(x.v)), emb
 
 
 def _check_candidate(forms_H, x0, y0, emb, seed):
@@ -594,6 +598,24 @@ def _single_form_zero(field, H, seed):
     return ZeroSearch(True, [K.zero, K.one, z0], K, emb, certificate="resultant")
 
 
+def _orbit_candidates(b: Poly, seed: int):
+    """(1, r, embedding) for one root r of each irreducible factor of b.
+
+    The forms are defined over the base field, so Frobenius carries a common
+    zero over one root to one over each conjugate: one root per orbit does.
+    """
+    field = b.field
+    ident = identity_embedding(field)
+    candidates = []
+    for f, _ in factor(b, seed=seed):
+        if f.degree == 1:
+            candidates.append((field.one, -f.c[0] / f.c[1], ident))
+        else:
+            r, emb = _orbit_root(f, seed)
+            candidates.append((emb(field.one), r, emb))
+    return candidates
+
+
 def _resultant_route(field, H, rng, seed, original_forms):
     # find one pair (or combination) with nonvanishing resultant in z
     pair = None
@@ -671,16 +693,9 @@ def _resultant_route(field, H, rng, seed, original_forms):
             )
         return ZeroSearch(False, certificate="resultant")
 
-    # finite field: every root of the eliminant, over its field of definition
-    # a constant eliminant leaves only the candidate at x = 0
-    for f, _ in factor(b, seed=seed) if b.degree >= 1 else []:
-        if f.degree == 1:
-            candidates.append((field.one, -f.c[0] / f.c[1], ident))
-        else:
-            ext, emb = extend_field(field, f.degree, seed=seed)
-            rr = roots(emb.map_poly(f), seed=seed)
-            for r, _m in rr.pairs:
-                candidates.append((emb(field.one), r, emb))
+    # finite field: a constant eliminant leaves only the candidate at x = 0
+    if b.degree >= 1:
+        candidates += _orbit_candidates(b, seed)
     for x0, y0, emb in candidates:
         ok, pt, emb2 = _check_candidate(H, x0, y0, emb, seed)
         if ok:

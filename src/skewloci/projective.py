@@ -4,15 +4,24 @@ A Subspace stores the canonical reduced-echelon basis of a linear subspace of
 k^6, so equality of subspaces is equality of stored rows.  Lines (vector
 dimension 2) get Pluecker coordinates indexed by the 15 lexicographic index
 pairs, and is_decomposable tells which 15-vectors are those of a line.
+count_common_zeros is the one numpy scan of a projective space over a small
+prime field.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import PreconditionError
+from .errors import PreconditionError, UnsupportedFieldError
 from .fields import Field
 from .linalg import PAIR_INDEX, PAIRS, kernel, rref
+
+# Prime fields up to this order are scanned exhaustively.  It also keeps the
+# int64 scan exact: every entry it forms is below q <= 11, so a condition
+# built from a few products of entries stays far inside 2^63.
+EXHAUSTIVE_PRIME_CAP = 11
+# points per slice in count_common_zeros
+SCAN_CHUNK = 1 << 14
 
 
 class Subspace:
@@ -216,3 +225,57 @@ def random_vector(space: Subspace, rng):
 def map_subspace(emb, space: Subspace) -> Subspace:
     """Extend scalars of a subspace along a field embedding."""
     return Subspace(emb.dst, space.n, [[emb(x) for x in r] for r in space.rows])
+
+
+def is_exhaustive_prime(field: Field) -> bool:
+    """Whether field is a prime field small enough for count_common_zeros."""
+    return field.order is not None and field.degree == 1 and field.char <= EXHAUSTIVE_PRIME_CAP
+
+
+def _proj_reps_array(q: int, n: int):
+    """projective_reps(F_q, n) as an int64 array, in the same order."""
+    import numpy as np
+
+    blocks = []
+    for lead in range(n):
+        free = n - lead - 1
+        if free == 0:
+            block = np.zeros((1, n), dtype=np.int64)
+            block[0, lead] = 1
+        else:
+            grids = np.indices((q,) * free).reshape(free, -1).T
+            block = np.zeros((len(grids), n), dtype=np.int64)
+            block[:, lead] = 1
+            block[:, lead + 1 :] = grids
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def count_common_zeros(field: Field, rows, conditions) -> int:
+    """How many points c of P^(k-1)(F_q) have every condition vanish at c * rows.
+
+    rows is a k x m matrix over a prime field with q <= EXHAUSTIVE_PRIME_CAP.
+    Each condition maps an int64 array of images (one row per point, entries
+    in [0, q)) to one integer per row; a point passes it when that is 0 mod q.
+    The points go in SCAN_CHUNK slices, and each condition sees only the
+    points that every earlier one kept.
+    """
+    import numpy as np
+
+    if field.order is None:
+        raise UnsupportedFieldError("exhaustive counting needs a finite field")
+    if not is_exhaustive_prime(field):
+        raise PreconditionError(
+            "field too large for exhaustive mode "
+            f"(prime fields up to q = {EXHAUSTIVE_PRIME_CAP})"
+        )
+    q = field.char
+    basis = np.array([[x.v for x in row] for row in rows], dtype=np.int64)
+    reps = _proj_reps_array(q, len(basis))
+    count = 0
+    for start in range(0, len(reps), SCAN_CHUNK):
+        points = reps[start:start + SCAN_CHUNK] @ basis % q
+        for cond in conditions:
+            points = points[cond(points) % q == 0]
+        count += len(points)
+    return count

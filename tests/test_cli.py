@@ -3,6 +3,7 @@ import contextlib
 import functools
 import io
 import json
+import random
 import shlex
 import sys
 import time
@@ -167,6 +168,23 @@ def test_net_analyze_rank_two_generator(capsys):
     assert res["type"]["witness_kind"] == "generator"
     assert res["directrix"] is None
     assert any("rank-2" in n for n in res["notes"])
+
+
+@pytest.mark.parametrize("field, count_note", [
+    ("F7", "exhaustive count skipped: the net's Pfaffian vanishes identically"),
+    ("F101", "exhaustive counting is limited to prime fields up to 11"),
+])
+def test_net_analyze_vanishing_pfaffian(capsys, field, count_note):
+    # every generator is zero on the pairs (0, j): e_0 lies in the kernel of
+    # every member, so the Pfaffian vanishes and there is no base cubic
+    rng = random.Random(7)
+    generators = [[0] * 5 + [rng.randrange(1, 7) for _ in range(10)] for _ in range(3)]
+    doc = json.dumps({"field": field, "generators": generators, "kind": "net"})
+    code, out, err = run_cli(capsys, "net", "analyze", doc)
+    assert (code, err) == (0, "")
+    res = check_report(out)["result"]
+    assert res["cubic"] is None and res["count"] is None
+    assert res["notes"][:2] == ["the restricted Pfaffian vanishes; no base cubic", count_note]
 
 
 def test_fournets_complete(capsys):
@@ -512,7 +530,8 @@ def _fuzz_fournets(draw):
             gens[i] = [0] * 15
         elif defect == "dependent":
             c = draw(st.integers(1, p - 1))
-            gens[2] = [c * x for x in gens[0]]
+            # an earlier non-scalar defect may have put None or a dict there
+            gens[2] = [c * x if type(x) is int else x for x in gens[0]]
         elif defect == "no-generators":
             doc.pop("generators")
         elif defect == "no-field":

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from skewloci import complexes
 from skewloci.errors import DegenerateInputError, PreconditionError
 from skewloci.fields import PrimeField
 from skewloci.linalg import PAIRS, mat_mul, rank, transpose
@@ -13,6 +14,7 @@ from skewloci.complexes import (
     fiber_meet,
     fiber_meet_report,
     fiber_rank2_count,
+    fiber_rank2_points,
     second_type_complex,
     special_fiber,
 )
@@ -190,3 +192,28 @@ def test_fiber_rank2_count_is_grassmannian_of_quotient():
     q = 7
     expected = q**4 + q**3 + 2 * q**2 + q + 1
     assert fiber_rank2_count(F, line) == expected
+
+
+def test_fiber_rank2_count_scans_no_elements(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("element scan")
+
+    monkeypatch.setattr(complexes, "fiber_rank2_points", refuse)
+    F = PrimeField(11)
+    line = line_through(F, [1, 2, 0, 0, 0, 5], [0, 1, 3, 0, 4, 0])
+    assert fiber_rank2_count(F, line) == 11**4 + 11**3 + 2 * 11**2 + 11 + 1
+
+
+@pytest.mark.parametrize("q, lines", [(3, 3), (5, 1)])
+def test_fiber_rank2_count_matches_the_element_scan(q, lines):
+    F = PrimeField(q)
+    rng = random.Random(q)
+    for _ in range(lines):
+        while True:
+            try:
+                line = line_through(F, [F.random(rng) for _ in range(6)],
+                                    [F.random(rng) for _ in range(6)])
+                break
+            except PreconditionError:
+                continue
+        assert fiber_rank2_count(F, line) == sum(1 for _ in fiber_rank2_points(F, line))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,11 +16,12 @@ from skewloci.errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from skewloci.fields import QQ, Poly, PrimeField, extend_field, roots
+from skewloci.fields import QQ, Poly, PrimeField, extend_field, poly_gcd, roots
 from skewloci.linalg import PAIRS, kernel, mat_vec, pfaffian, rank, sub_pfaffians_6
 from skewloci.nets import (
     Net,
     _fiber_triple,
+    _plane_points,
     count_scroll_points,
     degree_probe,
     directrix_planes,
@@ -33,8 +35,8 @@ from skewloci.nets import (
     type2_singular_locus_check,
     x_membership,
 )
-from skewloci.polys import MPoly, points_by_lines
-from skewloci.projective import Subspace, join, meet, subspace_points
+from skewloci.polys import MPoly, binary_form_to_poly, points_by_lines
+from skewloci.projective import SCAN_CHUNK, Subspace, join, meet, subspace_points
 
 
 def _pairs_vec(**kw):
@@ -268,6 +270,66 @@ def test_count_rejects_large_and_infinite_fields():
         count_scroll_points(_block_net(QQ))
 
 
+def _all_points_minor_count(net):
+    """The scan before the filtered minors: every point of P^5(F_q) is
+    tested against all 20 minors of [A_1 P | A_2 P | A_3 P]."""
+    import numpy as np
+
+    q = net.field.char
+    mats = [np.array([[x.v for x in row] for row in M], dtype=np.int64)
+            for M in net.matrices]
+    reps = np.array([
+        (0,) * lead + (1,) + tail
+        for lead in range(6) for tail in itertools.product(range(q), repeat=5 - lead)
+    ], dtype=np.int64)
+    count = 0
+    for start in range(0, len(reps), SCAN_CHUNK):
+        block = reps[start:start + SCAN_CHUNK]
+        stacked = np.stack([(block @ A.T) % q for A in mats], axis=2)
+        ok = np.ones(len(block), dtype=bool)
+        for a, b, c in itertools.combinations(range(6), 3):
+            Ma, Mb, Mc = stacked[:, a, :], stacked[:, b, :], stacked[:, c, :]
+            det = (
+                Ma[:, 0] * (Mb[:, 1] * Mc[:, 2] - Mb[:, 2] * Mc[:, 1])
+                - Ma[:, 1] * (Mb[:, 0] * Mc[:, 2] - Mb[:, 2] * Mc[:, 0])
+                + Ma[:, 2] * (Mb[:, 0] * Mc[:, 1] - Mb[:, 1] * Mc[:, 0])
+            )
+            ok &= det % q == 0
+        count += int(ok.sum())
+    return count
+
+
+def _scan_net(kind, q, seed):
+    F = PrimeField(q)
+    if kind == "seeded":
+        return selftest.seeded_net(F, seed)
+    return _block_net(F) if kind == "block" else Net.from_pair_vectors(F, TYPE2_TRIPLES)
+
+
+@pytest.mark.parametrize("kind, q, seed", [
+    *(("seeded", q, s) for q in (5, 7, 11) for s in (0, 1)),
+    ("block", 7, 0), ("type2", 7, 0), ("type2", 11, 0),
+])
+def test_filtered_minor_scan_matches_the_all_points_scan(kind, q, seed):
+    net = _scan_net(kind, q, seed)
+    x_count = count_scroll_points(net).x_count
+    assert x_count == _all_points_minor_count(net)
+    if kind == "block":
+        assert x_count == 1176
+
+
+def test_count_refuses_a_vanishing_pfaffian_before_scanning(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned a net without a cubic")
+
+    monkeypatch.setattr(nets_module, "count_common_zeros", no_scan)
+    net = Net.from_pair_vectors(
+        PrimeField(7), [_pairs_vec(p12=1), _pairs_vec(p34=1), _pairs_vec(p25=1)]
+    )
+    with pytest.raises(DegenerateInputError):
+        count_scroll_points(net)
+
+
 def test_twin_reduction_growth_separates_codimension():
     # a surface stays inside the Hasse envelope (q+1)(q+2*ceil(sqrt(q))+1),
     # while a locus containing a 3-space dominates q^3
@@ -469,6 +531,71 @@ def test_directrix_planes_enumerate_no_fiber(monkeypatch):
         rep = directrix_planes(selftest.seeded_net(PrimeField(q), seed), seed=0)
         assert len(rep.planes) == 2
     assert calls == []
+
+
+def _mpoly_plane_points(field, mats, f1, f2, f3):
+    """_plane_points on binary forms: the partner maps and quadratics are
+    built as MPolys in (s, t) and read back with binary_form_to_poly."""
+    u, v = f1.rows
+    zero = MPoly.zero(field, 2)
+    s_, t_ = MPoly.variable(field, 2, 0), MPoly.variable(field, 2, 1)
+    X = [s_ * a + t_ * b for a, b in zip(u, v)]
+
+    def form(A, x, y):
+        return sum(((x[i] * y[j] - x[j] * y[i]) * A[i][j] for i, j in PAIRS), start=zero)
+
+    def partner_maps(fib):
+        u2, v2 = fib.rows
+        rows = [[form(A, X, w) for w in (u2, v2)] for A in mats]
+        return [[b * x - a * y for x, y in zip(u2, v2)] for a, b in rows
+                if not (a.is_zero() and b.is_zero())]
+
+    g, drop = None, None
+    for P2 in partner_maps(f2):
+        for P3 in partner_maps(f3):
+            for Q in (form(A, P2, P3) for A in mats):
+                if not Q.is_zero():
+                    p, d = binary_form_to_poly(Q, 0, 1)
+                    g, drop = (p, d) if g is None else (poly_gcd(g, p), min(drop, d))
+    if g is None:
+        return None
+    params = [(field.one, x) for x, _ in roots(g).pairs] if g.degree >= 1 else []
+    params += [(field.zero, field.one)] if drop > 0 else []
+    return [[a * x + b * y for x, y in zip(u, v)] for a, b in params]
+
+
+def _seeded_triples():
+    for q in (7, 11, 13, 23, 101):
+        for seed in range(4):
+            net = selftest.seeded_net(PrimeField(q), seed)
+            try:
+                yield net, _fiber_triple(net)
+            except DegenerateInputError:
+                continue
+    net = Net.from_pair_vectors(PrimeField(7), TYPE2_TRIPLES)
+    yield net, _fiber_triple(net)
+
+
+def test_scalar_plane_points_match_the_binary_forms():
+    outcomes = set()
+    for net, triple in _seeded_triples():
+        field, mats = net.field, net.matrices
+        got = _plane_points(field, mats, *triple)
+        assert got == _mpoly_plane_points(field, mats, *triple)
+        outcomes.add(None if got is None else len(got))
+    # the identically vanishing case and nets with two candidate points
+    assert {None, 2} <= outcomes
+
+
+def test_plane_points_build_no_binary_forms(monkeypatch):
+    net = selftest.seeded_net(PrimeField(101), 1)
+    triple = _fiber_triple(net)
+
+    def refuse(*args):
+        raise AssertionError("_plane_points multiplied MPolys")
+
+    monkeypatch.setattr(MPoly, "__mul__", refuse)
+    assert len(_plane_points(net.field, net.matrices, *triple)) == 2
 
 
 def test_directrix_planes_of_a_rank2_net_are_an_infinite_family():

@@ -1,9 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewloci.errors import UnsupportedFieldError
-from skewloci.fields import QQ, PrimeField, extend_field, identity_embedding
+from skewloci import fields, polys
+from skewloci.errors import InconsistencyError, PreconditionError, UnsupportedFieldError
+from skewloci.fields import (
+    QQ,
+    Poly,
+    PrimeField,
+    extend_field,
+    factor,
+    identity_embedding,
+    roots,
+)
 from skewloci.linalg import det
 from skewloci.polys import (
     MAX_ENUM_POINTS,
@@ -243,3 +254,100 @@ def test_common_zero_deterministic():
     a = common_projective_zero(F, forms, seed=5)
     b = common_projective_zero(F, forms, seed=5)
     assert [p.v for p in a.point] == [p.v for p in b.point]
+
+
+def _all_root_candidates(b, seed):
+    """Every root of every irreducible factor, each split completely over its
+    field of definition: the candidate list before one root per orbit."""
+    field = b.field
+    ident = identity_embedding(field)
+    candidates = []
+    for f, _ in factor(b, seed=seed):
+        if f.degree == 1:
+            candidates.append((field.one, -f.c[0] / f.c[1], ident))
+        else:
+            ext, emb = extend_field(field, f.degree, seed=seed)
+            for r, _m in roots(emb.map_poly(f), seed=seed).pairs:
+                candidates.append((emb(field.one), r, emb))
+    return candidates
+
+
+def _search_outcome(res):
+    emb = res.embedding
+    return (
+        res.found, res.certificate,
+        None if res.point is None else [x.v for x in res.point],
+        res.point_field,
+        None if emb is None else (emb.src, emb.dst, emb.gen_image),
+    )
+
+
+@st.composite
+def _ternary_systems(draw):
+    F = PrimeField(draw(st.sampled_from((3, 5, 7, 11, 13))))
+    forms = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.integers(1, 3))
+        monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        coeffs = draw(st.lists(st.integers(0, F.order - 1), min_size=len(monos),
+                               max_size=len(monos)))
+        forms.append(MPoly(F, 3, dict(zip(monos, coeffs))))
+    return F, forms, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ternary_systems())
+def test_one_root_per_orbit_matches_every_root(system):
+    # Frobenius carries a common zero over one root to each conjugate, so the
+    # orbit's first root decides exactly as the whole orbit did
+    F, forms, seed = system
+    try:
+        fast = _search_outcome(common_projective_zero(F, forms, seed=seed))
+    except (PreconditionError, InconsistencyError) as e:  # refusals must agree too
+        fast = type(e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "_orbit_candidates", _all_root_candidates)
+        try:
+            slow = _search_outcome(common_projective_zero(F, forms, seed=seed))
+        except (PreconditionError, InconsistencyError) as e:
+            slow = type(e)
+    assert fast == slow
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_resultant_route_checks_one_candidate_per_factor(monkeypatch):
+    from skewloci import selftest
+    from skewloci.nets import net_type
+
+    net = selftest.seeded_net(PrimeField(101), 1)
+    eliminants = _spy(monkeypatch, polys, "binary_form_to_poly")
+    checks = _spy(monkeypatch, polys, "_check_candidate")
+    assert net_type(net, seed=0).kind == "general"
+    [((_, _, _), (b, drop))] = eliminants
+    degrees = [f.degree for f, _ in factor(b, seed=0)]
+    assert max(degrees) >= 2
+    assert len(checks) == len(degrees) + (drop > 0)
+
+
+def test_roots_and_the_resultant_route_share_the_orbit_helper(monkeypatch):
+    in_fields = _spy(monkeypatch, fields, "frobenius_orbit")
+    in_polys = _spy(monkeypatch, polys, "frobenius_orbit")
+    F = PrimeField(7)
+    rr = roots(Poly(F, [1, 0, 1]), allow_extension=True)  # x^2 + 1
+    assert len(rr.pairs) == 2 and len(in_fields) == 1
+    x, y, z = _vars(F)
+    res = common_projective_zero(F, [x * x + y * y, x * x - z * z], seed=0)
+    assert res.found and res.point_field.order == 49
+    assert in_polys

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from skewloci.errors import PreconditionError
+from skewloci.errors import PreconditionError, UnsupportedFieldError
 from skewloci.fields import QQ, PrimeField, extend_field
 from skewloci.linalg import PAIRS, kernel, rank, skew_from_pairs
 from skewloci.projective import (
     Subspace,
+    _proj_reps_array,
+    count_common_zeros,
     is_decomposable,
     join,
     line_through,
@@ -202,3 +204,52 @@ def test_zassenhaus_meet_matches_the_annihilator_meet(make):
             assert got == _meet_by_annihilators(x, y)
             # the rows it trusts as reduced are the canonical basis
             assert Subspace(F, n, got.rows) == got
+
+
+@pytest.mark.parametrize("q, n", [(3, 1), (3, 4), (5, 3), (7, 2)])
+def test_proj_reps_array_lists_projective_reps_in_order(q, n):
+    F = PrimeField(q)
+    expected = [[x.v for x in rep] for rep in projective_reps(F, n)]
+    assert _proj_reps_array(q, n).tolist() == expected
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_count_common_zeros_matches_the_element_scan(q):
+    # a random 4-space of k^7 and conditions of degree 1, 2 and 3 on its image
+    F = PrimeField(q)
+    rng = random.Random(q)
+    rows = [[F.random(rng) for _ in range(7)] for _ in range(4)]
+    lin = [rng.randrange(q) for _ in range(7)]
+    conditions = [
+        lambda P: sum(c * P[:, i] for i, c in enumerate(lin)),
+        lambda P: P[:, 0] * P[:, 1] - P[:, 2] * P[:, 3] + P[:, 4] * P[:, 6],
+        lambda P: P[:, 5] ** 3 - P[:, 1] * P[:, 2] * P[:, 3],
+    ]
+
+    def vanish(v):
+        x = [e.v for e in v]
+        return all(
+            value % q == 0 for value in (
+                sum(c * x[i] for i, c in enumerate(lin)),
+                x[0] * x[1] - x[2] * x[3] + x[4] * x[6],
+                x[5] ** 3 - x[1] * x[2] * x[3],
+            )
+        )
+
+    points = []
+    for coeffs in projective_reps(F, 4):
+        v = [F.zero] * 7
+        for c, row in zip(coeffs, rows):
+            v = [a + c * b for a, b in zip(v, row)]
+        points.append(v)
+    assert count_common_zeros(F, rows, conditions) == sum(map(vanish, points))
+    assert count_common_zeros(F, rows, []) == len(points)
+
+
+def test_count_common_zeros_refuses_fields_it_cannot_scan():
+    rows = [[1, 0], [0, 1]]
+    with pytest.raises(UnsupportedFieldError):
+        count_common_zeros(QQ, [[QQ(x) for x in r] for r in rows], [])
+    for F in (PrimeField(13), extend_field(PrimeField(3), 2)[0]):
+        with pytest.raises(PreconditionError):
+            count_common_zeros(F, [[F(x) for x in r] for r in rows], [])
