@@ -180,18 +180,20 @@ class GenericMorphism:
         self.matrices = mats
 
     def combination(self, lam):
-        coeffs = [self.field(x) for x in lam]
+        field = self.field
+        coeffs = [field(x).v for x in lam]
         if len(coeffs) != self.m:
             raise PreconditionError("combination needs one scalar per matrix")
+        add, mul = field._add, field._mul
         size = self.n + 1
-        out = [[self.field.zero] * size for _ in range(size)]
+        out = [[field.zero.v] * size for _ in range(size)]
         for c, M in zip(coeffs, self.matrices):
-            if c.is_zero():
+            if field._is_zero(c):
                 continue
-            for i in range(size):
-                for j in range(size):
-                    out[i][j] = out[i][j] + c * M[i][j]
-        return out
+            # the constructor coerced every entry into field
+            for row, mrow in zip(out, M):
+                row[:] = [add(o, mul(c, x.v)) for o, x in zip(row, mrow)]
+        return [[FieldElement(field, v) for v in row] for row in out]
 
     def __repr__(self):
         return f"GenericMorphism(n={self.n}, m={self.m})"

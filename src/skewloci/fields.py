@@ -990,7 +990,18 @@ def _deflate(f: Poly, a: FieldElement) -> tuple[Poly, int]:
 
 
 def _scan_roots(f: Poly) -> list[tuple[FieldElement, int]]:
-    return [(a, _deflate(f, a)[1]) for a in f.field.elements() if f(a).is_zero()]
+    """The roots of f in elements() order, by a Horner scan on raw values."""
+    field = f.field
+    add, mul = field._add, field._mul
+    lead, *rest = [c.v for c in reversed(f.c)]
+    out = []
+    for a in field.elements():
+        x, acc = a.v, lead
+        for c in rest:
+            acc = add(mul(acc, x), c)
+        if field._is_zero(acc):
+            out.append((a, _deflate(f, a)[1]))
+    return out
 
 
 def _pollard_rho(n: int) -> int:

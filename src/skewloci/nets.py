@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import Poly, factor, poly_gcd, roots
+from .fields import FieldElement, Poly, factor, poly_gcd, roots
 from .linalg import (
     PAIRS,
     identity,
@@ -58,8 +58,14 @@ from .projective import (
 
 
 def _form_value(A, x, y, zero):
-    """x^T A y for a skew A and scalar vectors x, y."""
-    return sum(((x[i] * y[j] - x[j] * y[i]) * A[i][j] for i, j in PAIRS), start=zero)
+    """x^T A y for a skew A and scalar vectors x, y, on raw values."""
+    field = zero.field
+    add, mul, neg = field._add, field._mul, field._neg
+    x, y = field._unwrap(x), field._unwrap(y)
+    acc = zero.v
+    for (i, j), c in zip(PAIRS, field._unwrap([A[i][j] for i, j in PAIRS])):
+        acc = add(acc, mul(add(mul(x[i], y[j]), neg(mul(x[j], y[i]))), c))
+    return FieldElement(field, acc)
 
 
 class Net(ComplexSystem):

@@ -10,14 +10,17 @@ decision would require algebraic number arithmetic.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .errors import InconsistencyError, PreconditionError, UnsupportedFieldError
 from .fields import (
     Embedding,
+    ExtField,
     Field,
     FieldElement,
     Poly,
+    PrimeField,
     compose_embeddings,
     extend_field,
     factor,
@@ -26,7 +29,7 @@ from .fields import (
     poly_gcd,
     roots,
 )
-from .linalg import det as field_det
+from .linalg import det as field_det, identity
 
 # largest projective plane _enumeration_search scans
 MAX_ENUM_POINTS = 200_000
@@ -81,47 +84,57 @@ class MPoly:
     def coeff(self, exps) -> FieldElement:
         return self.terms.get(tuple(exps), self.field.zero)
 
+    @classmethod
+    def _from_raw(cls, field: Field, n: int, raw: dict) -> "MPoly":
+        """The polynomial with these raw coefficients, already in field and nonzero."""
+        out = object.__new__(cls)
+        out.field = field
+        out.n = n
+        out.terms = {e: FieldElement(field, v) for e, v in raw.items()}
+        return out
+
     def __add__(self, other: "MPoly") -> "MPoly":
-        if other.field != self.field or other.n != self.n:
+        field = self.field
+        if other.field != field or other.n != self.n:
             raise PreconditionError("mixed polynomial rings")
-        t = dict(self.terms)
+        add, is_zero, zero = field._add, field._is_zero, field.zero.v
+        t = {e: c.v for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            s = t.get(e, self.field.zero) + c
-            if s.is_zero():
+            s = add(t.get(e, zero), c.v)
+            if is_zero(s):
                 t.pop(e, None)
             else:
                 t[e] = s
-        out = MPoly(self.field, self.n)
-        out.terms = t
-        return out
+        return MPoly._from_raw(field, self.n, t)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly(self.field, self.n)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        neg = self.field._neg
+        return MPoly._from_raw(self.field, self.n, {e: neg(c.v) for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other):
+        """The product with a scalar or a polynomial, on raw values."""
+        field = self.field
+        mul = field._mul
         if isinstance(other, (int, FieldElement)):
-            c = self.field(other)
-            out = MPoly(self.field, self.n)
-            if not c.is_zero():
-                out.terms = {e: x * c for e, x in self.terms.items()}
-            return out
-        if other.field != self.field or other.n != self.n:
+            c = field(other).v
+            if field._is_zero(c):
+                return MPoly(field, self.n)
+            return MPoly._from_raw(field, self.n, {e: mul(x.v, c) for e, x in self.terms.items()})
+        if other.field != field or other.n != self.n:
             raise PreconditionError("mixed polynomial rings")
+        add, is_zero = field._add, field._is_zero
+        right = [(e, c.v) for e, c in other.terms.items()]
         t = {}
-        zero = self.field.zero
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, zero) + c1 * c2
-                t[e] = s
-        out = MPoly(self.field, self.n)
-        out.terms = {e: c for e, c in t.items() if not c.is_zero()}
-        return out
+            c1 = c1.v
+            for e2, c2 in right:
+                e = tuple(map(operator.add, e1, e2))
+                v = mul(c1, c2)
+                t[e] = add(t[e], v) if e in t else v
+        return MPoly._from_raw(field, self.n, {e: v for e, v in t.items() if not is_zero(v)})
 
     __rmul__ = __mul__
 
@@ -213,14 +226,13 @@ class MPoly:
         if not self.terms:
             return []
         top = max(e[i] for e in self.terms)
-        coeffs = [MPoly.zero(self.field, self.n) for _ in range(top + 1)]
+        # (e[i], e with x_i dropped) determines e, so no two terms collide
+        coeffs = [MPoly(self.field, self.n) for _ in range(top + 1)]
         for e, c in self.terms.items():
             e2 = list(e)
             k = e2[i]
             e2[i] = 0
-            coeffs[k] = coeffs[k] + MPoly(self.field, self.n, {tuple(e2): c})
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+            coeffs[k].terms[tuple(e2)] = c
         return coeffs
 
     def map_coeffs(self, emb: Embedding) -> "MPoly":
@@ -432,6 +444,19 @@ def _orbit_root(f: Poly, seed: int):
     return min(orbit, key=lambda x: ext.sort_key(x.v)), emb
 
 
+def _slice_gcd(forms_H, x0, y0, emb) -> Poly:
+    """The gcd of the slices H(x0, y0, z) over the field of x0; 0 if all vanish."""
+    g = Poly(x0.field, [])
+    for H in forms_H:
+        s = specialize_last(H, x0, y0, emb)
+        if s.is_zero():
+            continue
+        g = s if g.is_zero() else poly_gcd(g, s)
+        if g.degree == 0:
+            break
+    return g
+
+
 def _check_candidate(forms_H, x0, y0, emb, seed):
     """Try the slice x = x0, y = y0 with emb: base -> field of x0.
 
@@ -440,22 +465,36 @@ def _check_candidate(forms_H, x0, y0, emb, seed):
     above x0; over Q, UnsupportedFieldError means the slice holds a zero
     whose last coordinate is irrational.
     """
-    K = x0.field
-    slices = [specialize_last(H, x0, y0, emb) for H in forms_H]
-    nonzero = [s for s in slices if not s.is_zero()]
-    if not nonzero:
-        return True, [x0, y0, K.zero], emb
-    g = nonzero[0]
-    for s in nonzero[1:]:
-        g = poly_gcd(g, s)
-        if g.degree < 1:
-            return False, None, emb
+    g = _slice_gcd(forms_H, x0, y0, emb)
+    if g.is_zero():
+        return True, [x0, y0, x0.field.zero], emb
     if g.degree < 1:
         return False, None, emb
     z0, leg = _root_with_leg(g, seed)
     if leg is None:
         return True, [x0, y0, z0], emb
     return True, [leg(x0), leg(y0), z0], compose_embeddings(emb, leg)
+
+
+def _factor_zero(forms_H, f: Poly, seed: int):
+    """_check_candidate at (1 : r) for the roots r of an irreducible factor f
+    of the eliminant.  Frobenius carries a common zero over one root to each
+    conjugate, so the orbit's first root (_orbit_root) decides and carries the
+    witness.  Over F_p, the residue field F_p[x]/(f) with root x decides
+    first, so a root is built only for a witness."""
+    field = f.field
+    if f.degree == 1:
+        ident = identity_embedding(field)
+        return _check_candidate(forms_H, field.one, -f.c[0] / f.c[1], ident, seed)
+    if isinstance(field, PrimeField):
+        L = ExtField(field.char, tuple(c.v for c in f.c))
+        if _slice_gcd(forms_H, L.one, L.gen(), Embedding(field, L, None)).degree == 0:
+            return False, None, None
+    r, emb = _orbit_root(f, seed)
+    found = _check_candidate(forms_H, emb(field.one), r, emb, seed)
+    if isinstance(field, PrimeField) and not found[0]:
+        raise InconsistencyError("the residue field and the root disagree on a common zero")
+    return found
 
 
 def _enumeration_search(field, forms):
@@ -527,11 +566,8 @@ def common_projective_zero(
 
     # coordinate change making each form z-regular; identity tried first
     T = None
-    queue = [
-        [[field.one, field.zero, field.zero],
-         [field.zero, field.one, field.zero],
-         [field.zero, field.zero, field.one]]
-    ]
+    ident = identity(field, 3)
+    queue = [ident]
     for _ in range(300):
         M = queue.pop(0) if queue else [
             [_search_scalar(field, rng) for _ in range(3)] for _ in range(3)
@@ -560,7 +596,7 @@ def common_projective_zero(
     subs = [
         xs[0] * T[k][0] + xs[1] * T[k][1] + xs[2] * T[k][2] for k in range(3)
     ]
-    H = [F.substitute(subs) for F in forms]
+    H = forms if T is ident else [F.substitute(subs) for F in forms]
 
     if len(H) == 1:
         res = _single_form_zero(field, H[0], seed)
@@ -596,24 +632,6 @@ def _single_form_zero(field, H, seed):
     emb = leg if leg is not None else identity_embedding(field)
     K = emb.dst
     return ZeroSearch(True, [K.zero, K.one, z0], K, emb, certificate="resultant")
-
-
-def _orbit_candidates(b: Poly, seed: int):
-    """(1, r, embedding) for one root r of each irreducible factor of b.
-
-    The forms are defined over the base field, so Frobenius carries a common
-    zero over one root to one over each conjugate: one root per orbit does.
-    """
-    field = b.field
-    ident = identity_embedding(field)
-    candidates = []
-    for f, _ in factor(b, seed=seed):
-        if f.degree == 1:
-            candidates.append((field.one, -f.c[0] / f.c[1], ident))
-        else:
-            r, emb = _orbit_root(f, seed)
-            candidates.append((emb(field.one), r, emb))
-    return candidates
 
 
 def _resultant_route(field, H, rng, seed, original_forms):
@@ -693,11 +711,14 @@ def _resultant_route(field, H, rng, seed, original_forms):
             )
         return ZeroSearch(False, certificate="resultant")
 
-    # finite field: a constant eliminant leaves only the candidate at x = 0
-    if b.degree >= 1:
-        candidates += _orbit_candidates(b, seed)
+    # finite field: the candidate at x = 0, then one decision per irreducible
+    # factor of the eliminant
     for x0, y0, emb in candidates:
         ok, pt, emb2 = _check_candidate(H, x0, y0, emb, seed)
+        if ok:
+            return ZeroSearch(True, pt, emb2.dst, emb2, certificate="resultant")
+    for f, _ in factor(b, seed=seed) if b.degree >= 1 else ():
+        ok, pt, emb2 = _factor_zero(H, f, seed)
         if ok:
             return ZeroSearch(True, pt, emb2.dst, emb2, certificate="resultant")
     return ZeroSearch(False, certificate="resultant")

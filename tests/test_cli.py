@@ -15,9 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewloci import cli, selftest
+from skewloci import cli, polys, selftest
 from skewloci.cli import load_schema, main
-from skewloci.fields import PRIME_BOUND, PrimeField
+from skewloci.errors import PreconditionError
+from skewloci.fields import PRIME_BOUND, PrimeField, extend_field, identity_embedding
+from skewloci.linalg import PAIRS
+from skewloci.nets import Net
 
 SCHEMA = load_schema()
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -185,6 +188,69 @@ def test_net_analyze_vanishing_pfaffian(capsys, field, count_note):
     res = check_report(out)["result"]
     assert res["cubic"] is None and res["count"] is None
     assert res["notes"][:2] == ["the restricted Pfaffian vanishes; no base cubic", count_note]
+
+
+def _conjugate_pair_net(p, seed):
+    """Generators of a net over F_p whose plane meets the rank-2 locus in a
+    conjugate pair: the traces of w and beta w for the Pluecker vector w of
+    a line over F_{p^2} (beta generates F_{p^2}), a random third complex,
+    and a random change of basis of the three."""
+    F = PrimeField(p)
+    K, _ = extend_field(F, 2)
+    rng = random.Random(seed)
+    while True:
+        u, v = ([K.random(rng) for _ in range(6)] for _ in range(2))
+        w = [u[i] * v[j] - u[j] * v[i] for i, j in PAIRS]
+        traces = [[(c * x + (c * x) ** p).v for x in w] for c in (K.one, K.gen())]
+        assert all(x[1] == 0 for t in traces for x in t)
+        base = [[x[0] for x in t] for t in traces] + [[rng.randrange(p) for _ in PAIRS]]
+        mix = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        gens = [[sum(a * g[k] for a, g in zip(row, base)) % p for k in range(15)]
+                for row in mix]
+        try:
+            net = Net.from_pair_vectors(F, gens)
+        except PreconditionError:  # dependent generators
+            continue
+        if all(g.rank() > 2 for g in net.generators):  # no generator witness
+            return gens
+
+
+def _explicit_root_zero(forms_H, f, seed):
+    """The resultant route's factor check before the residue field: the
+    orbit's first root is built for every factor of the eliminant."""
+    field = f.field
+    if f.degree == 1:
+        return polys._check_candidate(
+            forms_H, field.one, -f.c[0] / f.c[1], identity_embedding(field), seed)
+    r, emb = polys._orbit_root(f, seed)
+    return polys._check_candidate(forms_H, emb(field.one), r, emb, seed)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_conjugate_witness_reports_match_the_explicit_root_route(capsys, monkeypatch, p):
+    # the witness lies over F_{p^2}: the residue field decides its orbit,
+    # and the witness is built as the explicit-root route builds it
+    decided = []
+
+    def spy(forms_H, f, seed, real=polys._factor_zero):
+        found = real(forms_H, f, seed)
+        decided.append((f.field, f.degree, found[0]))
+        return found
+
+    for seed in range(4):
+        doc = json.dumps({"field": f"F{p}", "generators": _conjugate_pair_net(p, seed)})
+        with monkeypatch.context() as mp:
+            mp.setattr(polys, "_factor_zero", spy)
+            fast = run_cli(capsys, "net", "analyze", doc)
+        with monkeypatch.context() as mp:
+            mp.setattr(polys, "_factor_zero", _explicit_root_zero)
+            slow = run_cli(capsys, "net", "analyze", doc)
+        assert fast == slow
+        kind = check_report(fast[1])["result"]["type"]
+        assert (kind["kind"], kind["witness_field"]) == ("contains-second-type", f"F{p}^2")
+    # over F3 and F5 a net can leave no regular rational direction, and then
+    # the search moves to F_{p^2}, where its witness root is rational
+    assert (PrimeField(p), 2, True) in decided
 
 
 def test_fournets_complete(capsys):

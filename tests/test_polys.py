@@ -10,9 +10,11 @@ from skewloci.fields import (
     QQ,
     Poly,
     PrimeField,
+    compose_embeddings,
     extend_field,
     factor,
     identity_embedding,
+    poly_gcd,
     roots,
 )
 from skewloci.linalg import det
@@ -256,20 +258,32 @@ def test_common_zero_deterministic():
     assert [p.v for p in a.point] == [p.v for p in b.point]
 
 
-def _all_root_candidates(b, seed):
-    """Every root of every irreducible factor, each split completely over its
-    field of definition: the candidate list before one root per orbit."""
-    field = b.field
-    ident = identity_embedding(field)
-    candidates = []
-    for f, _ in factor(b, seed=seed):
-        if f.degree == 1:
-            candidates.append((field.one, -f.c[0] / f.c[1], ident))
-        else:
-            ext, emb = extend_field(field, f.degree, seed=seed)
-            for r, _m in roots(emb.map_poly(f), seed=seed).pairs:
-                candidates.append((emb(field.one), r, emb))
-    return candidates
+def _every_root_zero(forms_H, f, seed):
+    """The decision for one irreducible factor f before one root per orbit
+    and the residue field: every root of f, found by splitting f completely
+    over its field of definition, is tried in sort_key order with every
+    slice built first."""
+    field = f.field
+    if f.degree == 1:
+        cands = [(field.one, -f.c[0] / f.c[1], identity_embedding(field))]
+    else:
+        _, emb = extend_field(field, f.degree, seed=seed)
+        cands = [(emb(field.one), r, emb) for r, _m in roots(emb.map_poly(f), seed=seed).pairs]
+    for x0, y0, emb in cands:
+        slices = [polys.specialize_last(H, x0, y0, emb) for H in forms_H]
+        nonzero = [s for s in slices if not s.is_zero()]
+        if not nonzero:
+            return True, [x0, y0, x0.field.zero], emb
+        g = nonzero[0]
+        for s in nonzero[1:]:
+            g = poly_gcd(g, s)
+        if g.degree < 1:
+            continue
+        z0, leg = polys._root_with_leg(g, seed)
+        if leg is None:
+            return True, [x0, y0, z0], emb
+        return True, [leg(x0), leg(y0), z0], compose_embeddings(emb, leg)
+    return False, None, None
 
 
 def _search_outcome(res):
@@ -282,15 +296,24 @@ def _search_outcome(res):
     )
 
 
+TERNARY_BASES = tuple(PrimeField(p) for p in (3, 5, 7, 11, 13)) + tuple(
+    extend_field(PrimeField(p), 2)[0] for p in (3, 5)
+)
+
+
 @st.composite
 def _ternary_systems(draw):
-    F = PrimeField(draw(st.sampled_from((3, 5, 7, 11, 13))))
+    F = draw(st.sampled_from(TERNARY_BASES))
+    p = F.char
     forms = []
     for _ in range(draw(st.integers(2, 3))):
         d = draw(st.integers(1, 3))
         monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
         coeffs = draw(st.lists(st.integers(0, F.order - 1), min_size=len(monos),
                                max_size=len(monos)))
+        # an index k < q is the element with base-p digits of k as coefficients
+        coeffs = [F(tuple(k // p**i % p for i in range(F.degree))) if F.degree > 1 else F(k)
+                  for k in coeffs]
         forms.append(MPoly(F, 3, dict(zip(monos, coeffs))))
     return F, forms, draw(st.integers(0, 3))
 
@@ -299,14 +322,15 @@ def _ternary_systems(draw):
 @given(_ternary_systems())
 def test_one_root_per_orbit_matches_every_root(system):
     # Frobenius carries a common zero over one root to each conjugate, so the
-    # orbit's first root decides exactly as the whole orbit did
+    # orbit's first root decides exactly as the whole orbit did, and the
+    # residue field F_p[x]/(f) decides as that root does
     F, forms, seed = system
     try:
         fast = _search_outcome(common_projective_zero(F, forms, seed=seed))
     except (PreconditionError, InconsistencyError) as e:  # refusals must agree too
         fast = type(e)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polys, "_orbit_candidates", _all_root_candidates)
+        mp.setattr(polys, "_factor_zero", _every_root_zero)
         try:
             slow = _search_outcome(common_projective_zero(F, forms, seed=seed))
         except (PreconditionError, InconsistencyError) as e:
@@ -327,18 +351,24 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
-def test_resultant_route_checks_one_candidate_per_factor(monkeypatch):
+def test_general_net_type_builds_no_root_of_the_eliminant(monkeypatch):
+    # every factor of the eliminant is decided in its residue field, and on a
+    # general net none holds a common zero, so no root is ever built
     from skewloci import selftest
     from skewloci.nets import net_type
 
     net = selftest.seeded_net(PrimeField(101), 1)
     eliminants = _spy(monkeypatch, polys, "binary_form_to_poly")
-    checks = _spy(monkeypatch, polys, "_check_candidate")
+    decided = _spy(monkeypatch, polys, "_factor_zero")
+    rooted = _spy(monkeypatch, polys, "_orbit_root")
+    orbits = _spy(monkeypatch, polys, "frobenius_orbit")
+    orbits_in_fields = _spy(monkeypatch, fields, "frobenius_orbit")
     assert net_type(net, seed=0).kind == "general"
-    [((_, _, _), (b, drop))] = eliminants
+    [((_, _, _), (b, _drop))] = eliminants
     degrees = [f.degree for f, _ in factor(b, seed=0)]
     assert max(degrees) >= 2
-    assert len(checks) == len(degrees) + (drop > 0)
+    assert len(decided) == len(degrees)
+    assert not rooted and not orbits and not orbits_in_fields
 
 
 def test_roots_and_the_resultant_route_share_the_orbit_helper(monkeypatch):

@@ -1,21 +1,35 @@
 """The raw-value scalar kernels against their FieldElement oracles.
 
 rref (with kernel, rank, solve, det, mat_vec and mat_mul), MPoly.evaluate
-(and through it PlaneCubic's evaluate and gradient), specialize_last, and
-Poly's __call__, __mul__ and __divmod__ unwrap their inputs once and loop on
-raw values.  The oracles below are the
-element-by-element loops they replaced, kept here as the reference: every
-result must agree exactly, over prime fields, extensions and Q.
+(and through it PlaneCubic's evaluate and gradient), MPoly's __add__, __neg__
+and __mul__, specialize_last, Poly's __call__, __mul__ and __divmod__, the
+root scan of small fields, the skew form value of nets, and the combinations
+of a morphism's matrices unwrap their inputs once and loop on raw values.
+The oracles below are the element-by-element loops they replaced, kept here
+as the reference: every result must agree exactly, over prime fields,
+extensions and Q.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewloci.complexes import GenericMorphism
 from skewloci.cubic import MONOMIALS, PlaneCubic
-from skewloci.fields import QQ, Poly, PrimeField, extend_field, identity_embedding
-from skewloci.linalg import det, kernel, mat_mul, mat_vec, rank, rref, solve
+from skewloci.errors import PreconditionError
+from skewloci.fields import (
+    QQ,
+    Poly,
+    PrimeField,
+    _deflate,
+    _scan_roots,
+    extend_field,
+    identity_embedding,
+)
+from skewloci.linalg import PAIRS, det, kernel, mat_mul, mat_vec, rank, rref, skew_from_pairs, solve
+from skewloci.nets import _form_value
 from skewloci.polys import MPoly, specialize_last
 
 FIELDS = (
@@ -179,6 +193,47 @@ def _poly_divmod_oracle(f, g):
     return Poly(f.field, quot), Poly(f.field, rem)
 
 
+def _mpoly_add_oracle(f, g):
+    t = dict(f.terms)
+    for e, c in g.terms.items():
+        s = t.get(e, f.field.zero) + c
+        if s.is_zero():
+            t.pop(e, None)
+        else:
+            t[e] = s
+    return t
+
+
+def _mpoly_mul_oracle(f, g):
+    t = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            t[e] = t.get(e, f.field.zero) + c1 * c2
+    return {e: c for e, c in t.items() if not c.is_zero()}
+
+
+def _form_value_oracle(A, x, y, zero):
+    return sum(((x[i] * y[j] - x[j] * y[i]) * A[i][j] for i, j in PAIRS), start=zero)
+
+
+def _combination_oracle(phi, lam):
+    coeffs = [phi.field(x) for x in lam]
+    size = phi.n + 1
+    out = [[phi.field.zero] * size for _ in range(size)]
+    for c, M in zip(coeffs, phi.matrices):
+        if c.is_zero():
+            continue
+        for i in range(size):
+            for j in range(size):
+                out[i][j] = out[i][j] + c * M[i][j]
+    return out
+
+
+def _scan_roots_oracle(f):
+    return [(a, _deflate(f, a)[1]) for a in f.field.elements() if f(a).is_zero()]
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -309,3 +364,77 @@ def test_poly_arithmetic_matches_the_element_loops(case):
     # trailing zeros are stripped
     for h in (f * g, f * x):
         assert not h.c or not h.c[-1].is_zero()
+
+
+@st.composite
+def _mpoly_pair(draw):
+    P, _ = draw(_mpoly_case())
+    terms = {
+        tuple(draw(st.lists(st.integers(0, 3), min_size=P.n, max_size=P.n))):
+            _element(draw, P.field)
+        for _ in range(draw(st.integers(0, 6)))
+    }
+    # share some exponents with P, so that terms merge and cancel
+    for e, c in list(P.terms.items())[: draw(st.integers(0, len(P.terms)))]:
+        terms[e] = draw(st.sampled_from((-c, c, c * 2)))
+    return P, MPoly(P.field, P.n, terms), _element(draw, P.field)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_mpoly_pair())
+def test_mpoly_arithmetic_matches_the_element_loops(case):
+    P, Q, c = case
+    scaled = {} if c.is_zero() else {e: x * c for e, x in P.terms.items()}
+    # the terms and their insertion order, raw values included
+    for got, want in ((P + Q, _mpoly_add_oracle(P, Q)), (P * Q, _mpoly_mul_oracle(P, Q)),
+                      (-P, {e: -x for e, x in P.terms.items()}), (P * c, scaled),
+                      (P - Q, _mpoly_add_oracle(P, -Q)),
+                      # the cross terms of (P + Q)(P - Q) cancel
+                      ((P + Q) * (P - Q), _mpoly_mul_oracle(P + Q, P - Q))):
+        assert [(e, x.v) for e, x in got.terms.items()] == [(e, x.v) for e, x in want.items()]
+        assert all(x.field is P.field and not x.is_zero() for x in got.terms.values())
+
+
+def test_mpoly_arithmetic_refuses_other_rings():
+    F7, F11 = PrimeField(7), PrimeField(11)
+    x7, x11 = MPoly.variable(F7, 2, 0), MPoly.variable(F11, 2, 0)
+    for bad in (lambda: x7 + x11, lambda: x7 * x11, lambda: x7 * F11(2),
+                lambda: x7 + MPoly.variable(F7, 3, 0)):
+        with pytest.raises(PreconditionError):
+            bad()
+
+
+@st.composite
+def _skew_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    mats = [skew_from_pairs(field, [_element(draw, field) for _ in PAIRS])
+            for _ in range(draw(st.integers(1, 3)))]
+    vecs = [[_element(draw, field) for _ in range(6)] for _ in range(2)]
+    lam = [_element(draw, field) for _ in mats]
+    return field, mats, vecs, lam
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_skew_case())
+def test_form_value_and_combination_match_the_element_loops(case):
+    field, mats, (x, y), lam = case
+    for A in mats:
+        got = _form_value(A, x, y, field.zero)
+        assert got == _form_value_oracle(A, x, y, field.zero) and got.field is field
+    try:
+        phi = GenericMorphism(field, mats)
+    except PreconditionError:  # dependent matrices
+        return
+    got = phi.combination(lam)
+    assert _raw(got) == _raw(_combination_oracle(phi, lam))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_poly_case())
+def test_root_scan_matches_the_element_loop(case):
+    f, g, _ = case
+    if f.field is QQ or f.field.order > 256:
+        return
+    for h in (f, f * g, f * f):
+        if h.degree >= 1:
+            assert _scan_roots(h) == _scan_roots_oracle(h)
