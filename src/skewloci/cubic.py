@@ -399,10 +399,9 @@ def class_eq(a: DivisorClass, b: DivisorClass) -> bool:
 
 
 def hyperplane_class(C: PlaneCubic) -> DivisorClass:
-    """The degree-3 class of every line section."""
+    """The degree-3 class of every line section: the tangent at O cuts 2[O] + [O*O]."""
     O = _require_base(C)
-    T = third_point(C, O, O)
-    return class_of(C, [(O, 2), (T, 1)])
+    return DivisorClass(C, 3, third_point(C, O, O))
 
 
 class TwoTorsionReport:
@@ -433,8 +432,8 @@ def _halve(C: PlaneCubic, R):
     2P = R exactly when the tangent at P passes through S = R*O.  The line
     through S and w meets the curve again where a s^2 + b s u + d u^2 = 0
     (a = grad F(S).w, b = grad F(w).S, d = F(w)), so it is tangent there at
-    the base-field roots of the quartic b^2 - 4ad; each contact point is
-    certified by one doubling.
+    the base-field roots of the quartic b^2 - 4ad; each contact point P is
+    certified by one chord, P*P = S.
     """
     field = C.field
     S = third_point(C, R, _require_base(C))
@@ -456,7 +455,7 @@ def _halve(C: PlaneCubic, R):
         v = [x.evaluate(t) for x in contact]
         # v vanishes only where a = b = 0: a flex tangent at S, touching at S
         P = S if all(x.is_zero() for x in v) else tuple(normalize_projective(v))
-        if add_points(C, P, P) == R:
+        if third_point(C, P, P) == S:
             out.add(P)
     return sorted(out, key=lambda P: [field.sort_key(x.v) for x in P])
 

@@ -22,11 +22,11 @@ from .cubic import (
     PlaneCubic,
     class_add,
     class_eq,
-    class_neg,
     class_of,
     halvings,
     hyperplane_class,
     polar_contact,
+    third_point,
     two_torsion,
 )
 from .errors import (
@@ -35,7 +35,6 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import extend_field
 from .linalg import PAIRS, kernel, mat_mul, mat_vec, rank, transpose
 from .nets import (
     Net,
@@ -49,7 +48,6 @@ from .nets import (
 from .projective import (
     Subspace,
     line_through,
-    map_subspace,
     meet,
     normalize_projective,
     pluecker_of_line,
@@ -66,50 +64,39 @@ def _pair_covectors(plane: Subspace):
 
 
 def _halving_target(C: PlaneCubic, F: DivisorClass, k) -> DivisorClass:
-    O = C.base_point
-    return class_add(F, class_neg(class_of(C, [(tuple(k), 1), (O, 2)])))
+    """The degree-0 class F - k - 2O, as [R] - [O] with R = k*(F.rep*O).
+
+    The lines through F.rep and O, and through k and F.rep*O, give
+    [k] + [F.rep*O] + [R] ~ [F.rep] + [O] + [F.rep*O].
+    """
+    return DivisorClass(C, 0, third_point(C, k, third_point(C, F.rep, C.base_point)))
 
 
 class GammaReport:
     """The unique complex through the four double-point lines at k."""
 
-    __slots__ = (
-        "complex", "halving_points", "pencil_dim", "line_rank", "escalated",
-        "field", "embedding",
-    )
+    __slots__ = ("complex", "halving_points", "pencil_dim", "line_rank")
 
-    def __init__(self, complex, halving_points, pencil_dim, line_rank,
-                 escalated, field, embedding):
+    def __init__(self, complex, halving_points, pencil_dim, line_rank):
         self.complex = complex
         self.halving_points = halving_points
         self.pencil_dim = pencil_dim
         self.line_rank = line_rank
-        self.escalated = escalated
-        self.field = field
-        self.embedding = embedding
 
     def __repr__(self):
-        return f"GammaReport(escalated={self.escalated})"
-
-
-def _element_in_prime_part(x):
-    v = x.v
-    if isinstance(v, int):
-        return v
-    if all(c == 0 for c in v[1:]):
-        return v[0]
-    return None
+        return f"GammaReport(line_rank={self.line_rank})"
 
 
 def gamma_k(net: Net, F: DivisorClass, k, planes=None,
-            seed: int = 0, allow_escalation: bool = True) -> GammaReport:
+            seed: int = 0) -> GammaReport:
     """Solve for the complex at k determined by a degree-3 class F.
 
     The four double points of the residual pencil |F - k| give four scroll
     lines; their containment conditions are imposed on the 4-dimensional
     system of complexes singular along k's line that contain all lines of
     both unisecant planes.  The four conditions carry one forced relation,
-    so the solution is a single projective point.
+    so the solution is a single projective point.  Double points that are
+    not all rational are refused.
     """
     field = net.field
     if F.degree != 3:
@@ -122,7 +109,8 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
     k = tuple(field(x) for x in k)
     if not C.contains(list(k)):
         raise PreconditionError("k is not on the Pfaffian cubic")
-    if rank(field, net.combination(list(k))) != 4:
+    lk = Subspace.from_kernel_of(field, net.combination(list(k)))
+    if lk.dim != 2:
         raise PreconditionError("k must be a rank-4 point of the net")
     if planes is None:
         planes = directrix_planes(net, seed=seed).planes
@@ -133,13 +121,10 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
 
     zs = halvings(C, _halving_target(C, F, k))
     if len(zs) != 4:
-        if not allow_escalation:
-            raise UnsupportedFieldError(
-                "the four double points are not rational over the base field"
-            )
-        return _gamma_escalated(net, F, k, planes, seed)
+        raise UnsupportedFieldError(
+            "the four double points are not rational over the base field"
+        )
 
-    lk = scroll_fiber(net, list(k))
     lines = [scroll_fiber(net, list(z)) for z in zs]
     Bt = transpose(special_fiber(field, lk).rows)
 
@@ -158,34 +143,7 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
             % (len(sol), len(lemma), len(pencil))
         )
     gamma = LinearComplex.from_pairs(field, mat_vec(Bt, sol[0]))
-    return GammaReport(gamma, zs, len(pencil), len(lemma) - len(sol),
-                       False, field, None)
-
-
-def _gamma_escalated(net, F, k, planes, seed):
-    """Retry over the quadratic extension and descend if possible."""
-    field = net.field
-    ext, emb = extend_field(field, 2, seed=seed)
-    net2 = net.map(emb)
-    C2 = F.curve.map(emb)
-    F2 = DivisorClass(C2, F.degree, tuple(emb(x) for x in F.rep))
-    k2 = tuple(emb(x) for x in k)
-    planes2 = [map_subspace(emb, p) for p in planes]
-    try:
-        rep = gamma_k(net2, F2, k2, planes=planes2, seed=seed,
-                      allow_escalation=False)
-    except UnsupportedFieldError:
-        raise UnsupportedFieldError(
-            "the four double points stay irrational after one quadratic "
-            "escalation"
-        )
-    raw = [_element_in_prime_part(x) for x in rep.complex.coeffs()]
-    if all(v is not None for v in raw):
-        gamma = LinearComplex.from_pairs(field, [field(v) for v in raw])
-        return GammaReport(gamma, rep.halving_points, rep.pencil_dim,
-                           rep.line_rank, True, field, emb)
-    return GammaReport(rep.complex, rep.halving_points, rep.pencil_dim,
-                       rep.line_rank, True, ext, emb)
+    return GammaReport(gamma, zs, len(pencil), len(lemma) - len(sol))
 
 
 class CrossCheck:
@@ -294,8 +252,7 @@ def companion_nets(net: Net, samples_per_class: int = 6, cross_samples: int = 50
             if len(gammas) >= samples_per_class:
                 break
             try:
-                g = gamma_k(net, F_T, k, planes=planes, seed=seed,
-                            allow_escalation=False)
+                g = gamma_k(net, F_T, k, planes=planes, seed=seed)
             except UnsupportedFieldError:
                 escalations.append((tuple(T.rep), tuple(k), "irrational-doubles"))
                 continue

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import random
@@ -452,6 +453,21 @@ def test_fournets_refuses_conjugate_directrix_planes(capsys):
     )
 
 
+# sha256 of stdout: net_f101.json completes; net_f11.json ends incomplete,
+# its "irrational-doubles" log coming from gamma_k's refusals
+_FOURNETS_DIGESTS = {
+    "net_f101.json": "2a98a67518b53ff032ee62cff33793219616785a4da22155a59f52889b9088ea",
+    "net_f11.json": "bf2dea076791551c53cf1492252125d2e25fe7307632b829b1317177de4ce8ba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOURNETS_DIGESTS))
+def test_fournets_corpus_reports_keep_their_bytes(capsys, name):
+    code, out, _ = run_cli(capsys, "net", "fournets", corpus_path(name))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _FOURNETS_DIGESTS[name]
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -714,10 +730,11 @@ def _defs_validator(name):
     return jsonschema.Draft202012Validator({**defs[name], "$defs": defs})
 
 
-def _defs_messages(doc, name):
+def _messages(validator, doc):
+    """What cli._validate_or_messages prints, from another validator."""
     return [
         f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(_defs_validator(name).iter_errors(doc), key=str)
+        for err in sorted(validator.iter_errors(doc), key=str)
     ]
 
 
@@ -770,7 +787,22 @@ def test_schema_refs_stand_alone():
 @given(_schema_documents())
 def test_inlined_validators_report_as_the_defs_validators(case):
     name, doc = case
-    assert cli._validate_or_messages(doc, name) == _defs_messages(doc, name)
+    assert cli._validate_or_messages(doc, name) == _messages(_defs_validator(name), doc)
+
+
+@functools.cache
+def _one_of_scalar_validator(name):
+    """cli._validator's definition with the scalar's three disjoint branches
+    under oneOf: the oracle of the shipped anyOf."""
+    defs = {**SCHEMA["$defs"], "scalar": {"oneOf": SCHEMA["$defs"]["scalar"]["anyOf"]}}
+    return jsonschema.Draft202012Validator(cli._inline_refs(defs[name], defs))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_schema_documents())
+def test_scalar_any_of_reports_as_one_of(case):
+    name, doc = case
+    assert cli._validate_or_messages(doc, name) == _messages(_one_of_scalar_validator(name), doc)
 
 
 _GOOD = [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]

@@ -8,10 +8,14 @@ import pytest
 from skewloci.cubic import (
     DivisorClass,
     add_points,
+    class_add,
     class_eq,
+    class_neg,
     class_of,
     halvings,
     hyperplane_class,
+    third_point,
+    two_torsion,
 )
 from skewloci.errors import (
     DegenerateInputError,
@@ -92,7 +96,6 @@ def test_gamma_recovers_member_at_every_solvable_point():
     assert len(goods) == 6
     for k in goods:
         g = gamma_k(net, H, k, planes=planes, seed=0)
-        assert not g.escalated
         assert len(g.halving_points) == 4
         assert g.pencil_dim == 3
         assert g.line_rank == 3
@@ -159,42 +162,50 @@ def test_series_identities_hold():
     assert srep.polar_ok is True
 
 
-def test_gamma_escalates_and_descends():
-    F = PrimeField(7)
-    net = _random_net(F, 16)
+def _anchored_hyperplane(q, seed):
+    net = _random_net(PrimeField(q), seed)
     C0 = net_pfaffian_cubic(net)
     C = C0.anchored(C0.rational_points()[0])
-    H = hyperplane_class(C)
-    k = (F(1), F(1), F(4))
-    assert len(halvings(C, _halving_target(C, H, k))) == 0
-    g = gamma_k(net, H, k, seed=0)
-    assert g.escalated
-    assert g.field.degree == 1
-    assert g.embedding is not None
-    assert g.pencil_dim == 3
-    assert g.line_rank == 3
-    assert g.complex.coeffs() == net.member(list(k)).coeffs()
+    return net, C, hyperplane_class(C)
 
 
-def test_gamma_escalation_can_fail_twice():
-    F = PrimeField(7)
-    net = _random_net(F, 8)
-    C0 = net_pfaffian_cubic(net)
-    C = C0.anchored(C0.rational_points()[0])
-    H = hyperplane_class(C)
-    k = (F(1), F(0), F(3))
-    with pytest.raises(UnsupportedFieldError, match="escalation"):
-        gamma_k(net, H, k, seed=0)
-
-
-def test_gamma_without_escalation_reports_irrational_doubles():
+def test_gamma_refuses_irrational_double_points():
     net, C, H, planes = _main()
     k = next(
         k for k in C.rational_points()
         if len(halvings(C, _halving_target(C, H, k))) == 0
     )
     with pytest.raises(UnsupportedFieldError, match="not rational"):
-        gamma_k(net, H, k, planes=planes, allow_escalation=False)
+        gamma_k(net, H, k, planes=planes)
+    # two F7 points whose four double points are not all rational
+    for seed, k in [(16, (1, 1, 4)), (8, (1, 0, 3))]:
+        net, C, H = _anchored_hyperplane(7, seed)
+        assert len(halvings(C, _halving_target(C, H, k))) == 0
+        with pytest.raises(UnsupportedFieldError, match="not rational"):
+            gamma_k(net, H, k, seed=0)
+
+
+# smooth seeded cubics, one per field, each with four rational 2-torsion classes
+_ORACLE_NETS = [(7, 0), (11, 0), (23, 8), (101, 1)]
+
+
+@pytest.mark.parametrize("q,seed", _ORACLE_NETS, ids=[f"F{q}s{s}" for q, s in _ORACLE_NETS])
+def test_group_law_shortcuts_match_the_class_chains(q, seed):
+    """Each group-law closed form against the general class arithmetic."""
+    _, C, H = _anchored_hyperplane(q, seed)
+    O = C.base_point
+    pts = C.rational_points()
+    assert class_eq(H, class_of(C, [(O, 2), (third_point(C, O, O), 1)]))
+    for T in two_torsion(C).classes:
+        F = class_add(H, T)
+        for k in pts:
+            old = class_add(F, class_neg(class_of(C, [(k, 1), (O, 2)])))
+            assert class_eq(_halving_target(C, F, k), old)
+    # the halving certificate: 2P = R exactly when P*P = R*O
+    for P in pts:
+        double, tangent = add_points(C, P, P), third_point(C, P, P)
+        for R in pts[:8] + [double]:
+            assert (double == R) == (tangent == third_point(C, R, O))
 
 
 def test_gamma_rejects_wrong_degree_class():
