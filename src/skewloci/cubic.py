@@ -29,7 +29,7 @@ from .fields import (
     identity_embedding,
     roots,
 )
-from .linalg import kernel, rank
+from .linalg import _wrap, kernel, rank
 from .polys import MPoly, binary_form_to_poly, common_projective_zero, points_by_lines
 from .projective import normalize_projective
 
@@ -39,14 +39,15 @@ MONOMIALS = (
 )
 
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+_CONIC_FACTORS = tuple(zip(CONIC_MONOMIALS, ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))))
 
 
 class PlaneCubic:
     """A ternary cubic form with an optional rational base point.
 
     The form and its three partial derivatives are built once, as MPolys,
-    and do not depend on the base point; evaluate and gradient are
-    MPoly.evaluate on them.
+    and do not depend on the base point; evaluate is MPoly.evaluate on the
+    form, and gradient evaluates the three partials in one raw pass.
     """
 
     __slots__ = ("field", "coeffs", "base_point", "_form", "_partials", "_smooth",
@@ -85,7 +86,16 @@ class PlaneCubic:
         return self._form.evaluate(pt)
 
     def gradient(self, pt):
-        return tuple(dF.evaluate(pt) for dF in self._partials)
+        """The three partials at pt in one raw pass over its six quadratic monomials."""
+        field = self.field
+        add, mul = field._add, field._mul
+        x = field._unwrap(pt)
+        mono = {e: mul(x[i], x[j]) for e, (i, j) in _CONIC_FACTORS}
+        out = [field.zero.v] * 3
+        for k, dF in enumerate(self._partials):
+            for e, c in dF.terms.items():
+                out[k] = add(out[k], mul(c.v, mono[e]))
+        return tuple(_wrap(field, out))
 
     def contains(self, pt):
         return self.evaluate(pt).is_zero()

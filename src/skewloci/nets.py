@@ -47,12 +47,13 @@ from .linalg import (
 from .polys import MPoly, common_projective_zero, points_by_lines
 from .projective import (
     Subspace,
-    count_common_zeros,
     is_exhaustive_prime,
     line_through,
     meet,
     pluecker_of_line,
+    projective_reps,
     random_vector,
+    require_exhaustive_prime,
     subspace_points,
 )
 
@@ -173,34 +174,25 @@ class ScrollCountReport:
         )
 
 
-def _minor_condition(a, b, c):
-    """The 3 x 3 minor on rows a, b, c of the matrices count_scroll_points scans."""
-    def det(P):
-        Ma, Mb, Mc = ([P[:, 6 * k + r] for k in range(3)] for r in (a, b, c))
-        return (
-            Ma[0] * (Mb[1] * Mc[2] - Mb[2] * Mc[1])
-            - Ma[1] * (Mb[0] * Mc[2] - Mb[2] * Mc[0])
-            + Ma[2] * (Mb[0] * Mc[1] - Mb[1] * Mc[0])
-        )
-    return det
-
-
 def count_scroll_points(net: Net) -> ScrollCountReport:
-    """Scan all points of P^5(F_q) for membership and compare with the cubic.
+    """Count X(F_q) by its fibres over P^2(F_q) and compare with the cubic.
 
+    A rational p is on X when [A_1 p | A_2 p | A_3 p] has a nonzero kernel,
+    which then holds a rational lam: X(F_q) is the union of the projective
+    kernels of A_lam over all of P^2(F_q), counted without the cubic's points
+    as raw tuples (reduced echelon kernels give canonical representatives).
     The cubic is asked for first, so a vanishing Pfaffian refuses before the
-    scan.  fibered is the exact statement x_count = (q+1) * c_count; the two
-    reported side conditions (every rational cubic point has rank exactly 4,
-    no two fibers share a rational point) make it the expected outcome.
+    count.  fibered is the exact statement x_count = (q+1) * c_count; the
+    side conditions ranks_all_four and fibers_disjoint make it expected.
     """
     field = net.field
     cubic = net_pfaffian_cubic(net)
-    # point p goes to the 6 x 3 matrix [A_1 p | A_2 p | A_3 p], laid out as
-    # the 18 columns 6k + i = (A_k p)_i, and lies on X when its 20 maximal
-    # minors vanish
-    rows = [[A[i][j] for A in net.matrices for i in range(6)] for j in range(6)]
-    minors = [_minor_condition(a, b, c) for a, b, c in itertools.combinations(range(6), 3)]
-    x_count = count_common_zeros(field, rows, minors)
+    require_exhaustive_prime(field)
+    x_count = len({
+        tuple(x.v for x in p)
+        for lam in projective_reps(field, 3)
+        for p in subspace_points(Subspace.from_kernel_of(field, net.combination(lam)))
+    })
     c_count = len(cubic.rational_points())
     fibers = [line for _, line in rational_fibers(net)]
     # on the cubic the rank is at most 4, and exactly 4 iff the kernel is a line

@@ -4,8 +4,8 @@ A Subspace stores the canonical reduced-echelon basis of a linear subspace of
 k^6, so equality of subspaces is equality of stored rows.  Lines (vector
 dimension 2) get Pluecker coordinates indexed by the 15 lexicographic index
 pairs, and is_decomposable tells which 15-vectors are those of a line.
-count_common_zeros is the one numpy scan of a projective space over a small
-prime field.
+subspace_points enumerates a subspace's points on raw values.
+count_common_zeros is the one numpy scan; complexes.fiber_rank2_count runs on it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 
 from .errors import PreconditionError, UnsupportedFieldError
 from .fields import Field
-from .linalg import PAIR_INDEX, PAIRS, kernel, rref
+from .linalg import PAIR_INDEX, PAIRS, _wrap, kernel, rref
 
 # Prime fields up to this order are scanned exhaustively.  It also keeps the
 # int64 scan exact: every entry it forms is below q <= 11, so a condition
@@ -201,14 +201,17 @@ def projective_reps(field: Field, d: int):
 
 
 def subspace_points(space: Subspace):
-    """All projective points of a subspace over a finite field, as 6-vectors."""
-    d = space.dim
-    for coeffs in projective_reps(space.field, d):
-        v = [space.field.zero] * space.n
-        for c, row in zip(coeffs, space.rows):
+    """The points c * rows of a subspace over a finite field, c in projective_reps
+    order, on raw values; canonical representatives when the basis is canonical."""
+    field = space.field
+    add, mul = field._add, field._mul
+    rows = [field._unwrap(r) for r in space.rows]
+    for coeffs in projective_reps(field, space.dim):
+        v = [field.zero.v] * space.n
+        for c, row in zip(coeffs, rows):
             if not c.is_zero():
-                v = [a + c * b for a, b in zip(v, row)]
-        yield v
+                v = [add(a, mul(c.v, b)) for a, b in zip(v, row)]
+        yield _wrap(field, v)
 
 
 def random_vector(space: Subspace, rng):
@@ -228,8 +231,19 @@ def map_subspace(emb, space: Subspace) -> Subspace:
 
 
 def is_exhaustive_prime(field: Field) -> bool:
-    """Whether field is a prime field small enough for count_common_zeros."""
+    """Whether field is a prime field small enough for an exhaustive count."""
     return field.order is not None and field.degree == 1 and field.char <= EXHAUSTIVE_PRIME_CAP
+
+
+def require_exhaustive_prime(field: Field) -> None:
+    """Refuse a field that is_exhaustive_prime rejects, Q apart from the rest."""
+    if field.order is None:
+        raise UnsupportedFieldError("exhaustive counting needs a finite field")
+    if not is_exhaustive_prime(field):
+        raise PreconditionError(
+            "field too large for exhaustive mode "
+            f"(prime fields up to q = {EXHAUSTIVE_PRIME_CAP})"
+        )
 
 
 def _proj_reps_array(q: int, n: int):
@@ -262,13 +276,7 @@ def count_common_zeros(field: Field, rows, conditions) -> int:
     """
     import numpy as np
 
-    if field.order is None:
-        raise UnsupportedFieldError("exhaustive counting needs a finite field")
-    if not is_exhaustive_prime(field):
-        raise PreconditionError(
-            "field too large for exhaustive mode "
-            f"(prime fields up to q = {EXHAUSTIVE_PRIME_CAP})"
-        )
+    require_exhaustive_prime(field)
     q = field.char
     basis = np.array([[x.v for x in row] for row in rows], dtype=np.int64)
     reps = _proj_reps_array(q, len(basis))

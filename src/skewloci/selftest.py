@@ -402,8 +402,8 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Exhaustive scans confirm the (q+1)-to-1 fibration over the cubic.
-    Budget: 60 s per net."""
+    """Counts exhaustive over P^2(F_q) confirm the (q+1)-to-1 fibration
+    over the cubic.  Budget: 60 s per net."""
     fails = []
     slow = []
     for q, seed in FIBERED_NETS:

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -320,14 +324,77 @@ def test_filtered_minor_scan_matches_the_all_points_scan(kind, q, seed):
 
 def test_count_refuses_a_vanishing_pfaffian_before_scanning(monkeypatch):
     def no_scan(*args):
-        raise AssertionError("scanned a net without a cubic")
+        raise AssertionError("counted a net without a cubic")
 
-    monkeypatch.setattr(nets_module, "count_common_zeros", no_scan)
+    # the fibre count enumerates P^2(F_q) and each kernel's points
+    monkeypatch.setattr(nets_module, "projective_reps", no_scan)
+    monkeypatch.setattr(nets_module, "subspace_points", no_scan)
     net = Net.from_pair_vectors(
         PrimeField(7), [_pairs_vec(p12=1), _pairs_vec(p34=1), _pairs_vec(p25=1)]
     )
     with pytest.raises(DegenerateInputError):
         count_scroll_points(net)
+
+
+def test_scroll_count_runs_no_p5_scan(monkeypatch):
+    from skewloci import projective as projective_module
+
+    nets_cases = [("seeded", 7, 0), ("seeded", 11, 1), ("block", 7, 0), ("type2", 7, 0)]
+    nets = [_scan_net(*case) for case in nets_cases]
+    want = [_all_points_minor_count(net) for net in nets]
+
+    def no_scan(*args):
+        raise AssertionError("scanned P^5")
+
+    monkeypatch.setattr(projective_module, "count_common_zeros", no_scan)
+    monkeypatch.setattr(projective_module, "_proj_reps_array", no_scan)
+    assert [count_scroll_points(net).x_count for net in nets] == want
+
+
+def test_net_analyze_leaves_numpy_unimported():
+    src = Path(nets_module.__file__).parents[1]
+    code = (
+        "import contextlib, io, sys\n"
+        "from skewloci import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['net', 'analyze', sys.argv[1]])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    corpus = src / "skewloci" / "corpus" / "net_f11.json"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(corpus)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120,
+    )
+    assert out.stdout.split() == ["0", "False"]
+
+
+@st.composite
+def _small_nets(draw):
+    """A random net over F3, F5 or F7; a generator is drawn decomposable
+    (rank 2, or zero and refused) often enough to reach rank-2 members and
+    non-fibered loci."""
+    F = PrimeField(draw(st.sampled_from((3, 5, 7))))
+    vecs = []
+    for _ in range(3):
+        if draw(st.integers(0, 2)) == 0:
+            u, v = ([draw(st.integers(0, F.char - 1)) for _ in range(6)] for _ in range(2))
+            vecs.append([u[i] * v[j] - u[j] * v[i] for i, j in PAIRS])
+        else:
+            vecs.append([draw(st.integers(0, F.char - 1)) for _ in range(15)])
+    try:
+        return Net.from_pair_vectors(F, vecs)
+    except PreconditionError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_small_nets())
+def test_fibre_count_matches_the_all_points_scan(net):
+    try:
+        rep = count_scroll_points(net)
+    except DegenerateInputError:
+        assume(False)
+    assert rep.x_count == _all_points_minor_count(net)
 
 
 def test_twin_reduction_growth_separates_codimension():

@@ -166,6 +166,36 @@ def test_subspace_points_cover_plane():
         assert s.contains_vector(p)
 
 
+def _subspace_points_oracle(space):
+    """The element loop subspace_points replaced: c * rows summed in
+    FieldElements, c in projective_reps order."""
+    for coeffs in projective_reps(space.field, space.dim):
+        v = [space.field.zero] * space.n
+        for c, row in zip(coeffs, space.rows):
+            if not c.is_zero():
+                v = [a + c * b for a, b in zip(v, row)]
+        yield v
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrimeField(3), lambda: PrimeField(7), lambda: extend_field(PrimeField(3), 2)[0],
+], ids=["F3", "F7", "F3^2"])
+def test_subspace_points_match_the_element_loop(make):
+    F = make()
+    rng = random.Random(5)
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        space = Subspace(F, n, [[F.random(rng) for _ in range(n)]
+                                for _ in range(rng.randint(0, min(n, 3)))])
+        got = list(subspace_points(space))
+        want = list(_subspace_points_oracle(space))
+        assert [[(x.field, x.v) for x in p] for p in got] == \
+            [[(x.field, x.v) for x in p] for p in want]
+        assert len(got) == (F.order ** space.dim - 1) // (F.order - 1)
+        # over the canonical basis each point is its canonical representative
+        assert all(normalize_projective(p) == p for p in got)
+
+
 def test_meet_over_q():
     a = Subspace(QQ, 6, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
     b = Subspace(QQ, 6, [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]])

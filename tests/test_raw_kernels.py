@@ -1,8 +1,8 @@
 """The raw-value scalar kernels against their FieldElement oracles.
 
 rref (with kernel, rank, solve, det, mat_vec and mat_mul), MPoly.evaluate
-(and through it PlaneCubic's evaluate and gradient), MPoly's __add__, __neg__
-and __mul__, specialize_last, Poly's __call__, __mul__ and __divmod__, the
+(and through it PlaneCubic.evaluate), PlaneCubic.gradient, MPoly's __add__,
+__neg__ and __mul__, specialize_last, Poly's __call__, __mul__ and __divmod__, the
 root scan of small fields, the skew form value of nets, and the combinations
 of a morphism's matrices unwrap their inputs once and loop on raw values.
 The oracles below are the element-by-element loops they replaced, kept here
@@ -306,6 +306,19 @@ def test_cubic_evaluate_and_gradient_match_the_element_loops(case):
     assert C.evaluate(pt) == _evaluate_oracle(C, pt)
     assert C.gradient(pt) == _gradient_oracle(C, pt)
     assert C.evaluate(pt).field is C.field
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.sampled_from((PrimeField(7), PrimeField(23), PrimeField(101),
+                        extend_field(PrimeField(7), 2)[0])), st.data())
+def test_gradient_matches_its_stored_partials(field, data):
+    coeffs = [_element(data.draw, field) for _ in range(10)]
+    if all(c.is_zero() for c in coeffs):
+        coeffs[data.draw(st.integers(0, 9))] = field.one
+    C = PlaneCubic(field, coeffs)
+    pt = [_element(data.draw, field) for _ in range(3)]
+    want = tuple(dF.evaluate(pt) for dF in C.partials())
+    assert [(x.field, x.v) for x in C.gradient(pt)] == [(x.field, x.v) for x in want]
 
 
 @st.composite
