@@ -7,9 +7,9 @@ line), rank 2 is a second-type special complex consisting of all lines that
 meet a fixed 3-space.
 
 m independent complexes define a morphism O^m -> Omega(2) on P^5
-(ComplexSystem); pencils (m = 2) and nets (m = 3) are its two cases, and
-pfaffian_form gives the Pfaffian of their combinations as one form in m
-variables.
+(ComplexSystem), whose fiber over lam is the kernel of the combination;
+pencils (m = 2) and nets (m = 3) are its two cases, and pfaffian_form gives
+the Pfaffian of their combinations as one form in m variables.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .fields import Field, FieldElement
 from .linalg import (
     PAIR_INDEX,
     PAIRS,
+    _dot,
+    _kernel_raw,
+    _wrap,
     check_skew,
     mat_vec,
     pairs_from_skew,
@@ -152,9 +155,10 @@ class ComplexClass:
 
 
 class GenericMorphism:
-    """A tuple of independent skew matrices defining a morphism to twisted forms."""
+    """A tuple of independent skew matrices defining a morphism to twisted forms,
+    read once as raw values; fiber(lam) is computed once per parameter."""
 
-    __slots__ = ("field", "n", "m", "matrices")
+    __slots__ = ("field", "n", "m", "matrices", "_raw", "_fibers")
 
     def __init__(self, field, matrices):
         mats = []
@@ -178,22 +182,49 @@ class GenericMorphism:
         if rank(field, flat) != self.m:
             raise PreconditionError("the skew matrices are linearly dependent")
         self.matrices = mats
+        self._raw = [[field._unwrap(row) for row in M] for M in mats]
+        self._fibers = {}
 
-    def combination(self, lam):
-        field = self.field
-        coeffs = [field(x).v for x in lam]
+    def _scalars(self, lam):
+        coeffs = [self.field(x).v for x in lam]
         if len(coeffs) != self.m:
             raise PreconditionError("combination needs one scalar per matrix")
-        add, mul = field._add, field._mul
+        return coeffs
+
+    def _combination_raw(self, coeffs):
+        """The raw rows of the combination at raw scalars; the matrices are
+        skew, so each entry above the diagonal is summed once."""
+        field = self.field
+        add, mul, neg, zero = field._add, field._mul, field._neg, field.zero.v
+        terms = [(c, M) for c, M in zip(coeffs, self._raw) if not field._is_zero(c)]
         size = self.n + 1
-        out = [[field.zero.v] * size for _ in range(size)]
-        for c, M in zip(coeffs, self.matrices):
-            if field._is_zero(c):
-                continue
-            # the constructor coerced every entry into field
-            for row, mrow in zip(out, M):
-                row[:] = [add(o, mul(c, x.v)) for o, x in zip(row, mrow)]
-        return [[FieldElement(field, v) for v in row] for row in out]
+        out = [[zero] * size for _ in range(size)]
+        for i, j in itertools.combinations(range(size), 2):
+            a = zero
+            for c, M in terms:
+                a = add(a, mul(c, M[i][j]))
+            out[i][j], out[j][i] = a, neg(a)
+        return out
+
+    def combination(self, lam):
+        return [_wrap(self.field, row) for row in self._combination_raw(self._scalars(lam))]
+
+    def fiber(self, lam) -> Subspace:
+        """The kernel of the combination at lam, kept per parameter."""
+        field = self.field
+        coeffs = self._scalars(lam)
+        if all(map(field._is_zero, coeffs)):
+            raise PreconditionError("the zero vector does not select a fiber")
+        key = tuple(coeffs)
+        if key not in self._fibers:
+            basis = [_wrap(field, v) for v in _kernel_raw(field, self._combination_raw(coeffs))]
+            self._fibers[key] = Subspace._reduced(field, self.n + 1, basis)
+        return self._fibers[key]
+
+    def _stacked(self, p):
+        """The raw rows of [A_1 p | ... | A_m p] for a raw vector p."""
+        cols = [[_dot(self.field, row, p) for row in M] for M in self._raw]
+        return [list(r) for r in zip(*cols)]
 
     def __repr__(self):
         return f"GenericMorphism(n={self.n}, m={self.m})"

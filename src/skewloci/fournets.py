@@ -109,7 +109,7 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
     k = tuple(field(x) for x in k)
     if not C.contains(list(k)):
         raise PreconditionError("k is not on the Pfaffian cubic")
-    lk = Subspace.from_kernel_of(field, net.combination(list(k)))
+    lk = net.fiber(k)
     if lk.dim != 2:
         raise PreconditionError("k must be a rank-4 point of the net")
     if planes is None:

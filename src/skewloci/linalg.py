@@ -7,7 +7,8 @@ kernels have canonical bases and can be compared entrywise.
 The scalar kernels (rref and the routines built on it, det, mat_vec,
 mat_mul) read the entries' raw values once with Field._unwrap, which refuses
 an entry of another field, loop on raw values through the field's _add,
-_mul, _neg, _inv and _is_zero, and build FieldElements once for the result.
+_mul, _neg, _inv and _is_zero, and build FieldElements once for the result
+(_rref_raw and _kernel_raw serve callers that already hold raw rows).
 
 The Pfaffian code is written against generic ring elements (anything with
 +, -, * and is_zero) so the same recursion serves field matrices and
@@ -116,17 +117,17 @@ def rank(field, rows) -> int:
     return len(_rref_raw(field, [field._unwrap(r) for r in rows])[1])
 
 
-def kernel(field, rows):
-    """Canonical basis (RREF rows) of the right kernel of the matrix.
+def _kernel_raw(field, R):
+    """Canonical raw basis (RREF rows) of the right kernel of the raw rows R.
 
     One elimination, of the columns in reverse order: each pivot then lies
     right of the free columns its row touches, so the kernel vectors in
     increasing free column are already in reduced echelon form.
     """
-    if not rows:
+    if not R:
         return []
-    n = len(rows[0])
-    R, pivots = _rref_raw(field, [field._unwrap(r)[::-1] for r in rows])
+    n = len(R[0])
+    R, pivots = _rref_raw(field, [r[::-1] for r in R])
     pivot_set = set(pivots)
     zero, one, neg = field.zero.v, field.one.v, field._neg
     basis = []
@@ -137,8 +138,13 @@ def kernel(field, rows):
         v[f] = one
         for r, p in enumerate(pivots):
             v[p] = neg(R[r][f])
-        basis.append(_wrap(field, v[::-1]))
+        basis.append(v[::-1])
     return basis
+
+
+def kernel(field, rows):
+    """Canonical basis (RREF rows) of the right kernel of the matrix."""
+    return [_wrap(field, v) for v in _kernel_raw(field, [field._unwrap(r) for r in rows])]
 
 
 def det(field, rows):

@@ -36,6 +36,9 @@ from .errors import (
 from .fields import FieldElement, Poly, factor, poly_gcd, roots
 from .linalg import (
     PAIRS,
+    _kernel_raw,
+    _rref_raw,
+    _wrap,
     identity,
     kernel,
     mat_mul,
@@ -47,6 +50,7 @@ from .linalg import (
 from .polys import MPoly, common_projective_zero, points_by_lines
 from .projective import (
     Subspace,
+    _span_points,
     is_exhaustive_prime,
     line_through,
     meet,
@@ -93,20 +97,17 @@ def x_membership(phi, P) -> bool:
     at most m - 1.
     """
     field = phi.field
-    pt = [field(x) for x in P]
+    pt = [field(x).v for x in P]
     if len(pt) != phi.n + 1:
         raise PreconditionError("point length does not match the matrix size")
-    if all(x.is_zero() for x in pt):
+    if all(map(field._is_zero, pt)):
         raise PreconditionError("zero coordinate vector")
-    cols = [mat_vec(A, pt) for A in phi.matrices]
-    rows = [[col[i] for col in cols] for i in range(phi.n + 1)]
-    return rank(field, rows) <= phi.m - 1
+    return len(_rref_raw(field, phi._stacked(pt))[1]) <= phi.m - 1
 
 
 def scroll_fiber(phi, lam) -> Subspace:
-    """The projective kernel of the combination at lam."""
-    field = phi.field
-    fib = Subspace.from_kernel_of(field, phi.combination(lam))
+    """The projective kernel of the combination at lam (phi.fiber)."""
+    fib = phi.fiber(lam)
     if not fib.dim:
         if (phi.n + 1) % 2 == 0:
             raise PreconditionError(
@@ -145,9 +146,8 @@ def rational_fibers(net: Net):
     """Yield (lam, line) for each rational point lam of the Pfaffian cubic
     whose combination has rank 4, in rational_points order; line is the
     combination's kernel, the scroll's fiber over lam."""
-    field = net.field
     for lam in net_pfaffian_cubic(net).rational_points():
-        fib = Subspace.from_kernel_of(field, net.combination(lam))
+        fib = net.fiber(lam)
         if fib.dim == 2:
             yield lam, fib
 
@@ -179,8 +179,9 @@ def count_scroll_points(net: Net) -> ScrollCountReport:
 
     A rational p is on X when [A_1 p | A_2 p | A_3 p] has a nonzero kernel,
     which then holds a rational lam: X(F_q) is the union of the projective
-    kernels of A_lam over all of P^2(F_q), counted without the cubic's points
-    as raw tuples (reduced echelon kernels give canonical representatives).
+    kernels of A_lam over all of P^2(F_q), each lam once (so not through
+    net.fiber's memo), counted without the cubic's points as raw tuples
+    (reduced echelon kernels give canonical representatives).
     The cubic is asked for first, so a vanishing Pfaffian refuses before the
     count.  fibered is the exact statement x_count = (q+1) * c_count; the
     side conditions ranks_all_four and fibers_disjoint make it expected.
@@ -188,11 +189,9 @@ def count_scroll_points(net: Net) -> ScrollCountReport:
     field = net.field
     cubic = net_pfaffian_cubic(net)
     require_exhaustive_prime(field)
-    x_count = len({
-        tuple(x.v for x in p)
-        for lam in projective_reps(field, 3)
-        for p in subspace_points(Subspace.from_kernel_of(field, net.combination(lam)))
-    })
+    kernels = (_kernel_raw(field, net._combination_raw([c.v for c in lam]))
+               for lam in projective_reps(field, 3))
+    x_count = len({tuple(p) for basis in kernels for p in _span_points(field, 6, basis)})
     c_count = len(cubic.rational_points())
     fibers = [line for _, line in rational_fibers(net)]
     # on the cubic the rank is at most 4, and exactly 4 iff the kernel is a line
@@ -293,8 +292,7 @@ def probe_section(net: Net, f, g, seed: int = 0) -> ProbeTrial:
     if drop > 0:
         params.append((field.zero, field.one))
     for alpha, beta in params:
-        lam = param_point(alpha, beta)
-        fib = Subspace.from_kernel_of(field, net.combination(lam))
+        fib = net.fiber(param_point(alpha, beta))
         if fib.dim != 2:
             non_generic = True
             note = "rank-2-member"
@@ -522,18 +520,12 @@ def _fiber_parameter(net: Net, k: Subspace):
     field = net.field
     if k.n != 6 or k.dim != 2:
         raise PreconditionError("expected a line in P^5")
-    rows = []
-    for vec in k.rows:
-        cols = [mat_vec(A, vec) for A in net.matrices]
-        for i in range(6):
-            rows.append([col[i] for col in cols])
-    lam = kernel(field, rows)
+    rows = [row for vec in k.rows for row in net._stacked(field._unwrap(vec))]
+    lam = _kernel_raw(field, rows)
     if len(lam) != 1:
         return None
-    kern = kernel(field, net.combination(lam[0]))
-    if len(kern) != 2 or Subspace(field, 6, kern) != k:
-        return None
-    return lam[0]
+    lam = _wrap(field, lam[0])
+    return lam if net.fiber(lam) == k else None
 
 
 def restricted_fiber_dim(

@@ -4,7 +4,7 @@ A Subspace stores the canonical reduced-echelon basis of a linear subspace of
 k^6, so equality of subspaces is equality of stored rows.  Lines (vector
 dimension 2) get Pluecker coordinates indexed by the 15 lexicographic index
 pairs, and is_decomposable tells which 15-vectors are those of a line.
-subspace_points enumerates a subspace's points on raw values.
+subspace_points, random_vector and pluecker_relations run on raw values.
 count_common_zeros is the one numpy scan; complexes.fiber_rank2_count runs on it.
 """
 
@@ -166,15 +166,16 @@ def is_decomposable(field: Field, p15) -> bool:
 
 def pluecker_relations(field: Field, p15):
     """Values of the quadratic three-term relations, one per 4-subset."""
-    xs = [field(c) for c in p15]
+    xs = [field(c).v for c in p15]
+    add, mul, neg = field._add, field._mul, field._neg
 
     def x(i, j):
         return xs[PAIR_INDEX[(i, j)]]
 
-    return [
-        x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c)
+    return _wrap(field, [
+        add(add(mul(x(a, b), x(c, d)), neg(mul(x(a, c), x(b, d)))), mul(x(a, d), x(b, c)))
         for a, b, c, d in itertools.combinations(range(6), 4)
-    ]
+    ])
 
 
 def projective_reps(field: Field, d: int):
@@ -200,29 +201,38 @@ def projective_reps(field: Field, d: int):
             yield (field.zero,) * lead + (field.one,) + rest
 
 
+def _span_points(field: Field, n: int, rows):
+    """The raw points c * rows in k^n of raw rows, c in projective_reps order."""
+    add, mul = field._add, field._mul
+    for coeffs in projective_reps(field, len(rows)):
+        v = [field.zero.v] * n
+        for c, row in zip(coeffs, rows):
+            if not c.is_zero():
+                v = [add(a, mul(c.v, b)) for a, b in zip(v, row)]
+        yield v
+
+
 def subspace_points(space: Subspace):
     """The points c * rows of a subspace over a finite field, c in projective_reps
     order, on raw values; canonical representatives when the basis is canonical."""
     field = space.field
-    add, mul = field._add, field._mul
     rows = [field._unwrap(r) for r in space.rows]
-    for coeffs in projective_reps(field, space.dim):
-        v = [field.zero.v] * space.n
-        for c, row in zip(coeffs, rows):
-            if not c.is_zero():
-                v = [add(a, mul(c.v, b)) for a, b in zip(v, row)]
+    for v in _span_points(field, space.n, rows):
         yield _wrap(field, v)
 
 
 def random_vector(space: Subspace, rng):
     """A nonzero vector of the subspace with seeded random coordinates."""
+    field = space.field
+    add, mul = field._add, field._mul
+    rows = [field._unwrap(r) for r in space.rows]
     while True:
-        cs = [space.field.random(rng) for _ in range(space.dim)]
-        v = [space.field.zero] * space.n
-        for c, row in zip(cs, space.rows):
-            v = [a + c * b for a, b in zip(v, row)]
-        if any(not x.is_zero() for x in v):
-            return v
+        cs = [field.random(rng).v for _ in range(space.dim)]
+        v = [field.zero.v] * space.n
+        for c, row in zip(cs, rows):
+            v = [add(a, mul(c, b)) for a, b in zip(v, row)]
+        if not all(map(field._is_zero, v)):
+            return _wrap(field, v)
 
 
 def map_subspace(emb, space: Subspace) -> Subspace:

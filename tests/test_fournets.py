@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from skewloci.complexes import GenericMorphism
 from skewloci.cubic import (
     DivisorClass,
     add_points,
@@ -100,6 +101,21 @@ def test_gamma_recovers_member_at_every_solvable_point():
         assert g.pencil_dim == 3
         assert g.line_rank == 3
         assert g.complex.coeffs() == net.member(list(k)).coeffs()
+
+
+def test_gamma_reads_the_fiber_not_the_combination(monkeypatch):
+    net, C, H, planes = _main()
+    fresh = _random_net(PrimeField(23), 8)
+    k = _good_points(C, H)[0]
+
+    def refuse(self, lam):
+        raise AssertionError("gamma_k built the combination")
+
+    monkeypatch.setattr(GenericMorphism, "combination", refuse)
+    g = gamma_k(fresh, H, k, seed=0)
+    assert fresh.fiber(k).dim == 2
+    monkeypatch.undo()
+    assert g.complex.coeffs() == net.member(list(k)).coeffs()
 
 
 def test_gamma_halving_points_double_to_residual_class():

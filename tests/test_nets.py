@@ -177,6 +177,60 @@ def test_fiber_needs_singular_combination():
         scroll_fiber(net, off)
 
 
+def test_fiber_refuses_the_zero_parameter_and_a_wrong_length():
+    F = PrimeField(7)
+    net = selftest.seeded_net(F, 0)
+    for lam in ([0, 0, 0], [F.zero] * 3, [7, 14, 0]):
+        with pytest.raises(PreconditionError, match="zero vector"):
+            scroll_fiber(net, lam)
+    assert net._fibers == {}  # refused before the memo is read
+    for lam in ([1, 0], [1, 0, 0, 0]):
+        with pytest.raises(PreconditionError, match="one scalar per matrix"):
+            scroll_fiber(net, lam)
+        with pytest.raises(PreconditionError, match="one scalar per matrix"):
+            net.member(lam)
+
+
+@pytest.mark.parametrize("q, seed", [(7, 0), (11, 0), (101, 1)])
+def test_fiber_sites_build_no_combination(monkeypatch, q, seed):
+    def refuse(self, lam):
+        raise AssertionError("a fibre site built the combination")
+
+    monkeypatch.setattr(GenericMorphism, "combination", refuse)
+    F = PrimeField(q)
+    net = selftest.seeded_net(F, seed)
+    fibers = list(rational_fibers(net))
+    assert all(scroll_fiber(net, lam) is fib for lam, fib in fibers)
+    if q <= 11:
+        rep = count_scroll_points(net)
+        assert rep.c_count == len(fibers)
+    else:
+        with pytest.raises(PreconditionError, match="too large"):
+            count_scroll_points(net)
+    rng = random.Random(q)
+    probe_section(net, [F.random(rng) for _ in range(6)], [F.random(rng) for _ in range(6)])
+    rep = directrix_planes(net, seed=0)
+    assert restricted_fiber_dim(net, rep.fibers[0], rep.planes, seed=0).dim >= 0
+
+
+def test_fiber_is_kept_per_parameter(monkeypatch):
+    from skewloci import linalg as linalg_module
+
+    F = PrimeField(101)
+    net = selftest.seeded_net(F, 1)
+    lam = net_pfaffian_cubic(net).rational_points()[0]
+    fib = scroll_fiber(net, lam)
+
+    def refuse(*args):
+        raise AssertionError("eliminated again")
+
+    monkeypatch.setattr(linalg_module, "_rref_raw", refuse)
+    assert scroll_fiber(net, lam) is fib
+    assert scroll_fiber(net, [x.v for x in lam]) is fib
+    assert net.fiber(tuple(lam)) is fib
+    assert len(net._fibers) == 1
+
+
 def test_odd_size_morphism_always_fibered():
     F = PrimeField(11)
     rng = random.Random(5)
@@ -329,6 +383,7 @@ def test_count_refuses_a_vanishing_pfaffian_before_scanning(monkeypatch):
     # the fibre count enumerates P^2(F_q) and each kernel's points
     monkeypatch.setattr(nets_module, "projective_reps", no_scan)
     monkeypatch.setattr(nets_module, "subspace_points", no_scan)
+    monkeypatch.setattr(nets_module, "_span_points", no_scan)
     net = Net.from_pair_vectors(
         PrimeField(7), [_pairs_vec(p12=1), _pairs_vec(p34=1), _pairs_vec(p25=1)]
     )

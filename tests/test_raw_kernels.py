@@ -3,13 +3,17 @@
 rref (with kernel, rank, solve, det, mat_vec and mat_mul), MPoly.evaluate
 (and through it PlaneCubic.evaluate), PlaneCubic.gradient, MPoly's __add__,
 __neg__ and __mul__, specialize_last, Poly's __call__, __mul__ and __divmod__, the
-root scan of small fields, the skew form value of nets, and the combinations
-of a morphism's matrices unwrap their inputs once and loop on raw values.
+root scan of small fields, the skew form value of nets, the combinations
+of a morphism's matrices with their kernel (fiber) and x_membership, and
+projective's random_vector and pluecker_relations unwrap their inputs once
+and loop on raw values.
 The oracles below are the element-by-element loops they replaced, kept here
 as the reference: every result must agree exactly, over prime fields,
 extensions and Q.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,8 +33,9 @@ from skewloci.fields import (
     identity_embedding,
 )
 from skewloci.linalg import PAIRS, det, kernel, mat_mul, mat_vec, rank, rref, skew_from_pairs, solve
-from skewloci.nets import _form_value
+from skewloci.nets import _form_value, x_membership
 from skewloci.polys import MPoly, specialize_last
+from skewloci.projective import Subspace, pluecker_relations, random_vector
 
 FIELDS = (
     PrimeField(7), PrimeField(101), extend_field(PrimeField(7), 2)[0],
@@ -417,12 +422,33 @@ def test_mpoly_arithmetic_refuses_other_rings():
             bad()
 
 
+def _skew_matrix(draw, field, size, wedges):
+    """A size x size skew matrix: random entries, or with wedges set a sum of
+    one to wedges forms x y^T - y x^T, so of rank at most 2 * wedges."""
+    if wedges is None:
+        upper = {(i, j): _element(draw, field) for i in range(size) for j in range(i + 1, size)}
+    else:
+        upper = {(i, j): field.zero for i in range(size) for j in range(i + 1, size)}
+        for _ in range(draw(st.integers(1, wedges))):
+            x, y = ([_element(draw, field) for _ in range(size)] for _ in range(2))
+            for i, j in upper:
+                upper[i, j] = upper[i, j] + x[i] * y[j] - x[j] * y[i]
+    M = [[field.zero] * size for _ in range(size)]
+    for (i, j), c in upper.items():
+        M[i][j], M[j][i] = c, -c
+    return M
+
+
 @st.composite
-def _skew_case(draw):
+def _skew_case(draw, size=6, wedges=None):
     field = draw(st.sampled_from(FIELDS))
-    mats = [skew_from_pairs(field, [_element(draw, field) for _ in PAIRS])
-            for _ in range(draw(st.integers(1, 3)))]
-    vecs = [[_element(draw, field) for _ in range(6)] for _ in range(2)]
+    count = draw(st.integers(1, 3))
+    if size == 6 and wedges is None:
+        mats = [skew_from_pairs(field, [_element(draw, field) for _ in PAIRS])
+                for _ in range(count)]
+    else:
+        mats = [_skew_matrix(draw, field, size, wedges) for _ in range(count)]
+    vecs = [[_element(draw, field) for _ in range(size)] for _ in range(2)]
     lam = [_element(draw, field) for _ in mats]
     return field, mats, vecs, lam
 
@@ -451,3 +477,108 @@ def test_root_scan_matches_the_element_loop(case):
     for h in (f, f * g, f * f):
         if h.degree >= 1:
             assert _scan_roots(h) == _scan_roots_oracle(h)
+
+
+def _membership_oracle(phi, P):
+    pt = [phi.field(x) for x in P]
+    cols = [mat_vec(A, pt) for A in phi.matrices]
+    rows = [[col[i] for col in cols] for i in range(phi.n + 1)]
+    return rank(phi.field, rows) <= phi.m - 1
+
+
+def _fiber_and_membership_match_the_oracles(field, mats, vecs, lam):
+    """fiber(lam) against the kernel of the element combination, and
+    x_membership against the mat_vec and rank loop; the kernel's dimension."""
+    try:
+        phi = GenericMorphism(field, mats)
+    except PreconditionError:  # dependent matrices
+        return None
+    if all(c.is_zero() for c in lam):
+        with pytest.raises(PreconditionError, match="zero vector"):
+            phi.fiber(lam)
+        return None
+    fib = phi.fiber(lam)
+    oracle = Subspace.from_kernel_of(field, _combination_oracle(phi, lam))
+    assert fib == oracle and _raw(fib.rows) == _raw(oracle.rows)
+    assert phi.fiber(list(lam)) is fib
+    points = [v for v in vecs if not all(x.is_zero() for x in v)] + fib.rows
+    for pt in points:
+        assert x_membership(phi, pt) == _membership_oracle(phi, pt)
+    return fib.dim
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.data())
+def test_fiber_and_membership_match_the_element_loops(data):
+    """Random, low-rank (sums of wedges) and odd-size morphisms; lam has a
+    zero coordinate a third of the time, and is sometimes zero."""
+    size = data.draw(st.sampled_from([5, 6, 7]))
+    wedges = data.draw(st.sampled_from([None, 1, 2]))
+    field, mats, vecs, lam = data.draw(_skew_case(size, wedges))
+    _fiber_and_membership_match_the_oracles(field, mats, vecs, lam)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), extend_field(PrimeField(7), 2)[0], QQ],
+                         ids=["F7", "F49", "Q"])
+def test_fiber_kernels_of_dimension_zero_two_and_four(field):
+    """A rank-2 generator as in the nets tests' TYPE2_TRIPLES, a rank-4 one
+    and a general one: the coordinate parameters have kernels of dimension
+    4, 2 and 0."""
+    rank2 = [1] + [0] * 14
+    rank4 = [0] * 15
+    rank4[0] = rank4[PAIRS.index((2, 3))] = 1
+    general = [0] * 15
+    for pair in ((0, 3), (1, 4), (2, 5), (0, 1)):
+        general[PAIRS.index(pair)] = 1
+    mats = [skew_from_pairs(field, v) for v in (rank2, rank4, general)]
+    rng = random.Random(3)
+    params = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    params += [[field.random(rng) for _ in range(3)] for _ in range(5)]
+    vecs = [[field.random(rng) for _ in range(6)] for _ in range(2)]
+    dims = [_fiber_and_membership_match_the_oracles(field, mats, vecs, [field(c) for c in lam])
+            for lam in params]
+    assert dims[:3] == [4, 2, 0]
+
+
+def _random_vector_oracle(space, rng):
+    while True:
+        cs = [space.field.random(rng) for _ in range(space.dim)]
+        v = [space.field.zero] * space.n
+        for c, row in zip(cs, space.rows):
+            v = [a + c * b for a, b in zip(v, row)]
+        if any(not x.is_zero() for x in v):
+            return v
+
+
+def _pluecker_relations_oracle(field, p15):
+    xs = [field(c) for c in p15]
+
+    def x(i, j):
+        return xs[PAIRS.index((i, j))]
+
+    return [
+        x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c)
+        for a, b, c, d in itertools.combinations(range(6), 4)
+    ]
+
+
+_PROJECTIVE_FIELDS = (PrimeField(7), extend_field(PrimeField(7), 2)[0], QQ)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(_PROJECTIVE_FIELDS), st.data())
+def test_random_vector_and_pluecker_relations_match_the_element_loops(field, data):
+    rows = _matrix(data.draw, field, data.draw(st.integers(1, 4)), 6)
+    space = Subspace(field, 6, rows)
+    if space.dim:
+        seed = data.draw(st.integers(0, 2 ** 16))
+        rng, rng0 = random.Random(seed), random.Random(seed)
+        got = random_vector(space, rng)
+        assert _raw([got]) == _raw([_random_vector_oracle(space, rng0)])
+        # the same draws, in the same order
+        assert rng.getstate() == rng0.getstate()
+    u, v = rows[0], _matrix(data.draw, field, 1, 6)[0]
+    wedge = [u[i] * v[j] - u[j] * v[i] for i, j in PAIRS]
+    for p15 in (wedge, [_element(data.draw, field) for _ in PAIRS]):
+        got = pluecker_relations(field, p15)
+        assert _raw([got]) == _raw([_pluecker_relations_oracle(field, p15)])
