@@ -29,7 +29,7 @@ from .fields import (
     identity_embedding,
     roots,
 )
-from .linalg import _wrap, kernel, rank
+from .linalg import _dot, _kernel_raw, _wrap, kernel, rank
 from .polys import MPoly, binary_form_to_poly, common_projective_zero, points_by_lines
 from .projective import normalize_projective
 
@@ -86,16 +86,19 @@ class PlaneCubic:
         return self._form.evaluate(pt)
 
     def gradient(self, pt):
-        """The three partials at pt in one raw pass over its six quadratic monomials."""
+        """The three partials at pt, on raw values."""
+        return tuple(_wrap(self.field, self._gradient_raw(self.field._unwrap(pt))))
+
+    def _gradient_raw(self, x):
+        """The three partials at the raw point x in one pass over its six quadratic monomials."""
         field = self.field
         add, mul = field._add, field._mul
-        x = field._unwrap(pt)
         mono = {e: mul(x[i], x[j]) for e, (i, j) in _CONIC_FACTORS}
         out = [field.zero.v] * 3
         for k, dF in enumerate(self._partials):
             for e, c in dF.terms.items():
                 out[k] = add(out[k], mul(c.v, mono[e]))
-        return tuple(_wrap(field, out))
+        return out
 
     def contains(self, pt):
         return self.evaluate(pt).is_zero()
@@ -303,33 +306,45 @@ def _norm_point(C, pt):
     return p
 
 
+def _normalized(field, v):
+    """The raw nonzero vector v scaled so its first nonzero entry is 1, wrapped."""
+    is_zero, mul = field._is_zero, field._mul
+    s = field._inv(next(x for x in v if not is_zero(x)))
+    return tuple(_wrap(field, [mul(x, s) for x in v]))
+
+
 def third_point(C: PlaneCubic, P, Q):
-    """Third intersection of the chord (or tangent when P = Q) with the cubic."""
+    """Third intersection of the chord (or tangent when P = Q) with the cubic.
+
+    On the line sP + uQ the form is s u (s c1 + u c2) for the chord (c1 =
+    grad F(P).Q, c2 = grad F(Q).P), and u^2 (s c1 + u c2) for the tangent
+    with any second point Q on it (c1 = grad F(Q).P, c2 = F(Q)).  The third
+    point -c2 P + c1 Q is combined on raw values and normalized once.
+    """
     field = C.field
+    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
     P = _norm_point(C, P)
     Q = _norm_point(C, Q)
+    p = field._unwrap(P)
     if P != Q:
-        c1 = sum((g * x for g, x in zip(C.gradient(P), Q)), start=field.zero)
-        c2 = sum((g * x for g, x in zip(C.gradient(Q), P)), start=field.zero)
-        if c1.is_zero() and c2.is_zero():
+        q = field._unwrap(Q)
+        c1 = _dot(field, C._gradient_raw(p), q)
+        c2 = _dot(field, C._gradient_raw(q), p)
+        if is_zero(c1) and is_zero(c2):
             raise InconsistencyError("the chord lies inside the cubic")
-        R = [-c2 * a + c1 * b for a, b in zip(P, Q)]
-        return tuple(normalize_projective(R))
-    g = tangent_line(C, P)
-    basis = kernel(field, [list(g)])
-    S = None
-    for cand in basis:
-        if rank(field, [list(P), cand]) == 2:
-            S = cand
-            break
-    if S is None:
-        raise InconsistencyError("tangent line collapsed to a point")
-    c2 = sum((g * x for g, x in zip(C.gradient(S), P)), start=field.zero)
-    c3 = C.evaluate(S)
-    if c2.is_zero() and c3.is_zero():
-        raise InconsistencyError("the tangent line lies inside the cubic")
-    R = [-c3 * a + c2 * b for a, b in zip(P, S)]
-    return tuple(normalize_projective(R))
+    else:
+        g = C._gradient_raw(p)
+        if all(map(is_zero, g)):
+            raise PreconditionError("the cubic is singular at the tangency point")
+        q = next((v for v in _kernel_raw(field, [g]) if _normalized(field, v) != P), None)
+        if q is None:
+            raise InconsistencyError("tangent line collapsed to a point")
+        c1 = _dot(field, C._gradient_raw(q), p)
+        c2 = C.evaluate(_wrap(field, q)).v
+        if is_zero(c1) and is_zero(c2):
+            raise InconsistencyError("the tangent line lies inside the cubic")
+    c2 = neg(c2)
+    return _normalized(field, [add(mul(c2, x), mul(c1, y)) for x, y in zip(p, q)])
 
 
 def _require_base(C: PlaneCubic):
@@ -427,44 +442,52 @@ class TwoTorsionReport:
         return f"TwoTorsionReport({len(self.classes)} classes)"
 
 
-def _lines_through(field, p):
-    """(a, b, W): the lines through p are spanned by p and W = al e_a + be e_b."""
-    a, b = _other_indices(_pivot(p))
-    W = [MPoly.zero(field, 2)] * 3
-    W[a] = MPoly.variable(field, 2, 0)
-    W[b] = MPoly.variable(field, 2, 1)
-    return a, b, W
-
-
 def _halve(C: PlaneCubic, R):
     """All rational points P with 2P = R, sorted.
 
     2P = R exactly when the tangent at P passes through S = R*O.  The line
-    through S and w meets the curve again where a s^2 + b s u + d u^2 = 0
-    (a = grad F(S).w, b = grad F(w).S, d = F(w)), so it is tangent there at
-    the base-field roots of the quartic b^2 - 4ad; each contact point P is
-    certified by one chord, P*P = S.
+    through S and W = al e_ia + be e_ib (ia, ib off S's pivot) meets the
+    curve again where a s^2 + b s u + d u^2 = 0 (a = grad F(S).W,
+    b = grad F(W).S, d = F(W)), so it is tangent there at the base-field
+    roots of the quartic b^2 - 4ad in t = be/al.  As W vanishes at the
+    pivot, F(W) and the partials at W are the terms free of the pivot: the
+    coefficients in t are read off on raw values, with no substitution.
+    Each contact point P = 2a W - b S is certified by one chord, P*P = S.
     """
     field = C.field
+    add, mul, neg = field._add, field._mul, field._neg
+    zero, one, two = field.zero.v, field.one.v, field(2).v
     S = third_point(C, R, _require_base(C))
-    _, _, W = _lines_through(field, S)
-    gS = C.gradient(S)
-    zero = MPoly.zero(field, 2)
-    a = sum((W[k] * gS[k] for k in range(3)), start=zero)
-    b = sum((dF.substitute(W) * S[k] for k, dF in enumerate(C.partials())), start=zero)
-    disc = b * b - a * C.as_mpoly().substitute(W) * 4
-    if disc.is_zero():
+    s = field._unwrap(S)
+    piv = _pivot(S)
+    ia, ib = _other_indices(piv)
+    gS = C._gradient_raw(s)
+    a, b, d = [gS[ia], gS[ib]], [zero] * 3, [zero] * 4
+    for cs, sk, form in [(d, one, C._form)] + [(b, sk, dF) for sk, dF in zip(s, C._partials)]:
+        for e, c in form.terms.items():
+            if not e[piv]:
+                cs[e[ib]] = add(cs[e[ib]], mul(sk, c.v))
+    disc = [zero] * 5
+    for f, g, h in ((one, b, b), (field(-4).v, a, d)):
+        for i, x in enumerate(g):
+            for j, y in enumerate(h):
+                disc[i + j] = add(disc[i + j], mul(f, mul(x, y)))
+    p = Poly._from_raw(field, disc)
+    if p.is_zero():
         raise InconsistencyError("every line through S is tangent to the cubic")
-    p, drop = binary_form_to_poly(disc, 0, 1)
-    directions = [(field.zero, field.one)] if drop > 0 else []
+    # a degree below 4 is a root at infinity: the direction (0:1)
+    directions = [(zero, one)] if p.degree < 4 else []
     if p.degree >= 1:
-        directions += [(field.one, t) for t, _ in roots(p).pairs]
-    contact = [a * W[k] * 2 - b * S[k] for k in range(3)]
+        directions += [(one, t.v) for t, _ in roots(p).pairs]
     out = set()
-    for t in directions:
-        v = [x.evaluate(t) for x in contact]
+    for al, be in directions:
+        w = [zero] * 3
+        w[ia], w[ib] = al, be
+        av = mul(two, _dot(field, a, (al, be)))
+        bv = neg(_dot(field, b, (mul(al, al), mul(al, be), mul(be, be))))
+        v = [add(mul(av, x), mul(bv, y)) for x, y in zip(w, s)]
         # v vanishes only where a = b = 0: a flex tangent at S, touching at S
-        P = S if all(x.is_zero() for x in v) else tuple(normalize_projective(v))
+        P = S if all(map(field._is_zero, v)) else _normalized(field, v)
         if third_point(C, P, P) == S:
             out.add(P)
     return sorted(out, key=lambda P: [field.sort_key(x.v) for x in P])
@@ -651,13 +674,17 @@ def _rank2_contact(C: PlaneCubic, M, seed):
 def _stereographic_pullback(C: PlaneCubic, M, p):
     """Pull the cubic back through the stereographic map of the conic M from p.
 
-    Returns the pulled-back sextic on the lines of _lines_through(p) as
-    binary_form_to_poly gives it, the tangent covector pM on their two
-    spanning points, and param_point(alpha, beta, emb=None): the conic point
-    of parameter (alpha : beta) over alpha's field, reached by emb.
+    Returns the pulled-back sextic on the lines through p and W = al e_a +
+    be e_b (a, b off p's pivot) as binary_form_to_poly gives it, the tangent
+    covector pM on their two spanning points, and param_point(alpha, beta,
+    emb=None): the conic point of parameter (alpha : beta) over alpha's
+    field, reached by emb.
     """
     field = C.field
-    a, b, W = _lines_through(field, p)
+    a, b = _other_indices(_pivot(p))
+    W = [MPoly.zero(field, 2)] * 3
+    W[a] = MPoly.variable(field, 2, 0)
+    W[b] = MPoly.variable(field, 2, 1)
     pM = [sum((p[i] * M[i][j] for i in range(3)), start=field.zero) for j in range(3)]
     ua, ub = pM[a], pM[b]
     if ua.is_zero() and ub.is_zero():

@@ -128,14 +128,12 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
     lines = [scroll_fiber(net, list(z)) for z in zs]
     Bt = transpose(special_fiber(field, lk).rows)
 
-    def restrict(conds):
-        return mat_mul(conds, Bt)
-
     plane_conds = _pair_covectors(planes[0]) + _pair_covectors(planes[1])
     line_conds = [pluecker_of_line(l) for l in lines]
-    lemma = kernel(field, restrict(plane_conds))
-    pencil = kernel(field, restrict(line_conds))
-    sol = kernel(field, restrict(plane_conds + line_conds))
+    conds = mat_mul(plane_conds + line_conds, Bt)
+    lemma = kernel(field, conds[:len(plane_conds)])
+    pencil = kernel(field, conds[len(plane_conds):])
+    sol = kernel(field, conds)
     if len(sol) != 1:
         raise InconsistencyError(
             "expected a unique complex at k: solution dimension %d, "

@@ -142,6 +142,28 @@ def _kernel_raw(field, R):
     return basis
 
 
+def _matchings(idx):
+    """(sign, pairs) for the perfect matchings of idx, signed as in pfaffian."""
+    if not idx:
+        return [(1, ())]
+    return [((-1) ** pos * sign, ((idx[0], j),) + rest)
+            for pos, j in enumerate(idx[1:])
+            for sign, rest in _matchings(idx[1:pos + 1] + idx[pos + 2:])]
+
+
+_MATCHINGS_6 = _matchings(tuple(range(6)))
+
+
+def _pfaffian_raw(field, A):
+    """Pfaffian of raw 6x6 skew rows: one flat sum over the 15 signed matchings of {0..5}."""
+    add, mul, neg = field._add, field._mul, field._neg
+    acc = field.zero.v
+    for sign, ((i, j), (k, l), (m, n)) in _MATCHINGS_6:
+        t = mul(mul(A[i][j], A[k][l]), A[m][n])
+        acc = add(acc, t if sign > 0 else neg(t))
+    return acc
+
+
 def kernel(field, rows):
     """Canonical basis (RREF rows) of the right kernel of the matrix."""
     return [_wrap(field, v) for v in _kernel_raw(field, [field._unwrap(r) for r in rows])]

@@ -37,6 +37,7 @@ from .fields import FieldElement, Poly, factor, poly_gcd, roots
 from .linalg import (
     PAIRS,
     _kernel_raw,
+    _pfaffian_raw,
     _rref_raw,
     _wrap,
     identity,
@@ -181,7 +182,8 @@ def count_scroll_points(net: Net) -> ScrollCountReport:
     which then holds a rational lam: X(F_q) is the union of the projective
     kernels of A_lam over all of P^2(F_q), each lam once (so not through
     net.fiber's memo), counted without the cubic's points as raw tuples
-    (reduced echelon kernels give canonical representatives).
+    (reduced echelon kernels give canonical representatives).  Only an A_lam
+    whose Pfaffian, taken on its raw entries, vanishes has a kernel to take.
     The cubic is asked for first, so a vanishing Pfaffian refuses before the
     count.  fibered is the exact statement x_count = (q+1) * c_count; the
     side conditions ranks_all_four and fibers_disjoint make it expected.
@@ -189,8 +191,8 @@ def count_scroll_points(net: Net) -> ScrollCountReport:
     field = net.field
     cubic = net_pfaffian_cubic(net)
     require_exhaustive_prime(field)
-    kernels = (_kernel_raw(field, net._combination_raw([c.v for c in lam]))
-               for lam in projective_reps(field, 3))
+    mats = (net._combination_raw([c.v for c in lam]) for lam in projective_reps(field, 3))
+    kernels = (_kernel_raw(field, A) for A in mats if field._is_zero(_pfaffian_raw(field, A)))
     x_count = len({tuple(p) for basis in kernels for p in _span_points(field, 6, basis)})
     c_count = len(cubic.rational_points())
     fibers = [line for _, line in rational_fibers(net)]

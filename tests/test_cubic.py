@@ -226,13 +226,16 @@ def _anchor_over_f49():
     return PlaneCubic(K, [emb(PrimeField(7)(c)) for c in ANCHOR], base_point=FLEX)
 
 
-@pytest.mark.parametrize("make", [
+_HALVING_ANCHORS = pytest.mark.parametrize("make", [
     lambda: _anchor(PrimeField(3)),
     lambda: _anchor(PrimeField(5)),
     lambda: _anchor(PrimeField(7)),
     lambda: _anchor(PrimeField(13)),
     _anchor_over_f49,
 ], ids=["F3", "F5", "F7", "F13", "F7^2"])
+
+
+@_HALVING_ANCHORS
 def test_halvings_match_the_point_scan(make):
     C = make()
     pts = C.rational_points()
@@ -242,6 +245,20 @@ def test_halvings_match_the_point_scan(make):
     for R in targets:
         assert set(halvings(C, DivisorClass(C, 0, R))) == _scan_halvings(C, R)
     assert {c.rep for c in two_torsion(C).classes} == _scan_halvings(C, C.base_point)
+
+
+@_HALVING_ANCHORS
+def test_halvings_substitute_nothing(make, monkeypatch):
+    """The halving quartic is read off the form's terms, not substituted."""
+    C = make()
+
+    def refuse(*args):
+        raise AssertionError("substituted into a form")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    assert len(two_torsion(C).classes) in (1, 2, 4)
+    for P in C.rational_points()[:6]:
+        assert P in halvings(C, class_of(C, [(P, 2), (C.base_point, -2)]))
 
 
 def _scan_points(C):

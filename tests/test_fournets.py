@@ -31,6 +31,7 @@ from skewloci.fournets import (
     series_identities,
 )
 from skewloci.nets import Net, directrix_planes, net_pfaffian_cubic, net_type
+from skewloci.polys import MPoly
 
 
 def _pairs_vec(**kw):
@@ -116,6 +117,22 @@ def test_gamma_reads_the_fiber_not_the_combination(monkeypatch):
     assert fresh.fiber(k).dim == 2
     monkeypatch.undo()
     assert g.complex.coeffs() == net.member(list(k)).coeffs()
+
+
+def test_gamma_substitutes_nothing(monkeypatch):
+    """On criterion 11's net, gamma_k and the halvings of every k run with
+    MPoly.substitute refused."""
+    net, C, H, planes = _main()
+
+    def refuse(*args):
+        raise AssertionError("substituted into a form")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    goods = _good_points(C, H)
+    assert len(goods) == 6
+    for k in goods:
+        g = gamma_k(net, H, k, planes=planes, seed=0)
+        assert g.complex.coeffs() == net.member(list(k)).coeffs()
 
 
 def test_gamma_halving_points_double_to_residual_class():

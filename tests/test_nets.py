@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -21,7 +22,15 @@ from skewloci.errors import (
     UnsupportedFieldError,
 )
 from skewloci.fields import QQ, Poly, PrimeField, extend_field, poly_gcd, roots
-from skewloci.linalg import PAIRS, kernel, mat_vec, pfaffian, rank, sub_pfaffians_6
+from skewloci.linalg import (
+    PAIRS,
+    kernel,
+    mat_vec,
+    pfaffian,
+    pfaffian_field,
+    rank,
+    sub_pfaffians_6,
+)
 from skewloci.nets import (
     Net,
     _fiber_triple,
@@ -40,7 +49,7 @@ from skewloci.nets import (
     x_membership,
 )
 from skewloci.polys import MPoly, binary_form_to_poly, points_by_lines
-from skewloci.projective import SCAN_CHUNK, Subspace, join, meet, subspace_points
+from skewloci.projective import SCAN_CHUNK, Subspace, join, meet, projective_reps, subspace_points
 
 
 def _pairs_vec(**kw):
@@ -404,6 +413,31 @@ def test_scroll_count_runs_no_p5_scan(monkeypatch):
     monkeypatch.setattr(projective_module, "count_common_zeros", no_scan)
     monkeypatch.setattr(projective_module, "_proj_reps_array", no_scan)
     assert [count_scroll_points(net).x_count for net in nets] == want
+
+
+@pytest.mark.parametrize("case", [("seeded", 7, 0), ("seeded", 11, 0), ("seeded", 11, 1),
+                                  ("corpus", "net_type2.json")],
+                         ids=["F7-s0", "F11-s0", "F11-s1", "net_type2"])
+def test_scroll_count_eliminates_only_singular_members(case, monkeypatch):
+    """The count takes a kernel only where Pf(A_lam) = 0, so once per point
+    of the Pfaffian cubic; the parameters are found here by the recursive
+    Pfaffian of each combination."""
+    if case[0] == "corpus":
+        doc = json.loads((Path(nets_module.__file__).parent / "corpus" / case[1]).read_text())
+        F = PrimeField(int(doc["field"][1:]))
+        net = Net.from_pair_vectors(F, doc["generators"])
+    else:
+        F = PrimeField(case[1])
+        net = selftest.seeded_net(F, case[2])
+    singular = [lam for lam in projective_reps(F, 3)
+                if pfaffian_field(F, net.combination(lam)).is_zero()]
+    calls = []
+    kernel_raw = nets_module._kernel_raw
+    monkeypatch.setattr(nets_module, "_kernel_raw",
+                        lambda field, R: calls.append(R) or kernel_raw(field, R))
+    rep = count_scroll_points(net)
+    assert len(calls) == len(singular) == rep.c_count
+    assert len(singular) < F.char ** 2 + F.char + 1
 
 
 def test_net_analyze_leaves_numpy_unimported():

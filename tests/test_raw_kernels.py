@@ -4,9 +4,10 @@ rref (with kernel, rank, solve, det, mat_vec and mat_mul), MPoly.evaluate
 (and through it PlaneCubic.evaluate), PlaneCubic.gradient, MPoly's __add__,
 __neg__ and __mul__, specialize_last, Poly's __call__, __mul__ and __divmod__, the
 root scan of small fields, the skew form value of nets, the combinations
-of a morphism's matrices with their kernel (fiber) and x_membership, and
-projective's random_vector and pluecker_relations unwrap their inputs once
-and loop on raw values.
+of a morphism's matrices with their kernel (fiber) and x_membership,
+projective's random_vector and pluecker_relations, the cubic's chords
+(third_point) and halvings (_halve), and the flat 6x6 Pfaffian unwrap their
+inputs once and loop on raw values.
 The oracles below are the element-by-element loops they replaced, kept here
 as the reference: every result must agree exactly, over prime fields,
 extensions and Q.
@@ -17,12 +18,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewloci.complexes import GenericMorphism
-from skewloci.cubic import MONOMIALS, PlaneCubic
-from skewloci.errors import PreconditionError
+from skewloci.cubic import MONOMIALS, PlaneCubic, _halve, _norm_point, third_point
+from skewloci.errors import InconsistencyError, PreconditionError
 from skewloci.fields import (
     QQ,
     Poly,
@@ -31,11 +32,24 @@ from skewloci.fields import (
     _scan_roots,
     extend_field,
     identity_embedding,
+    roots,
 )
-from skewloci.linalg import PAIRS, det, kernel, mat_mul, mat_vec, rank, rref, skew_from_pairs, solve
+from skewloci.linalg import (
+    PAIRS,
+    _pfaffian_raw,
+    det,
+    kernel,
+    mat_mul,
+    mat_vec,
+    pfaffian_field,
+    rank,
+    rref,
+    skew_from_pairs,
+    solve,
+)
 from skewloci.nets import _form_value, x_membership
-from skewloci.polys import MPoly, specialize_last
-from skewloci.projective import Subspace, pluecker_relations, random_vector
+from skewloci.polys import MPoly, binary_form_to_poly, specialize_last
+from skewloci.projective import Subspace, normalize_projective, pluecker_relations, random_vector
 
 FIELDS = (
     PrimeField(7), PrimeField(101), extend_field(PrimeField(7), 2)[0],
@@ -582,3 +596,176 @@ def test_random_vector_and_pluecker_relations_match_the_element_loops(field, dat
     for p15 in (wedge, [_element(data.draw, field) for _ in PAIRS]):
         got = pluecker_relations(field, p15)
         assert _raw([got]) == _raw([_pluecker_relations_oracle(field, p15)])
+
+
+# ---------------------------------------------------------------------------
+# the group law: chords and halvings
+
+
+def _third_point_oracle(C, P, Q):
+    """third_point as an element loop: chords through the gradient, and the
+    tangent's second point from the kernel of the tangent covector."""
+    field = C.field
+    P = _norm_point(C, P)
+    Q = _norm_point(C, Q)
+    if P != Q:
+        c1 = sum((g * x for g, x in zip(_gradient_oracle(C, P), Q)), start=field.zero)
+        c2 = sum((g * x for g, x in zip(_gradient_oracle(C, Q), P)), start=field.zero)
+        if c1.is_zero() and c2.is_zero():
+            raise InconsistencyError("the chord lies inside the cubic")
+        R = [-c2 * a + c1 * b for a, b in zip(P, Q)]
+        return tuple(normalize_projective(R))
+    g = list(_gradient_oracle(C, P))
+    if all(x.is_zero() for x in g):
+        raise PreconditionError("the cubic is singular at the tangency point")
+    S = next((cand for cand in kernel(field, [g]) if rank(field, [list(P), cand]) == 2), None)
+    if S is None:
+        raise InconsistencyError("tangent line collapsed to a point")
+    c2 = sum((g * x for g, x in zip(_gradient_oracle(C, S), P)), start=field.zero)
+    c3 = _evaluate_oracle(C, S)
+    if c2.is_zero() and c3.is_zero():
+        raise InconsistencyError("the tangent line lies inside the cubic")
+    R = [-c3 * a + c2 * b for a, b in zip(P, S)]
+    return tuple(normalize_projective(R))
+
+
+def _halve_oracle(C, R):
+    """_halve with the lines through S = R*O as MPolys in (al, be): the form
+    and its partials are substituted, and the contact points evaluated."""
+    field = C.field
+    S = _third_point_oracle(C, R, C.base_point)
+    piv = next(i for i, x in enumerate(S) if not x.is_zero())
+    ia, ib = (i for i in range(3) if i != piv)
+    W = [MPoly.zero(field, 2)] * 3
+    W[ia] = MPoly.variable(field, 2, 0)
+    W[ib] = MPoly.variable(field, 2, 1)
+    gS = _gradient_oracle(C, S)
+    zero = MPoly.zero(field, 2)
+    a = sum((W[k] * gS[k] for k in range(3)), start=zero)
+    b = sum((dF.substitute(W) * S[k] for k, dF in enumerate(C.partials())), start=zero)
+    disc = b * b - a * C.as_mpoly().substitute(W) * 4
+    if disc.is_zero():
+        raise InconsistencyError("every line through S is tangent to the cubic")
+    p, drop = binary_form_to_poly(disc, 0, 1)
+    directions = [(field.zero, field.one)] if drop > 0 else []
+    if p.degree >= 1:
+        directions += [(field.one, t) for t, _ in roots(p).pairs]
+    contact = [a * W[k] * 2 - b * S[k] for k in range(3)]
+    out = set()
+    for t in directions:
+        v = [x.evaluate(t) for x in contact]
+        P = S if all(x.is_zero() for x in v) else tuple(normalize_projective(v))
+        if _third_point_oracle(C, P, P) == S:
+            out.add(P)
+    return sorted(out, key=lambda P: [field.sort_key(x.v) for x in P])
+
+
+def _outcome(f, *args):
+    """The value of f, as raw values with their field, or its refusal."""
+    try:
+        got = f(*args)
+    except (PreconditionError, InconsistencyError) as exc:
+        return type(exc), str(exc)
+    pts = got if isinstance(got, list) else [got]
+    return [tuple((x.field, x.v) for x in P) for P in pts]
+
+
+_GROUP_FIELDS = (PrimeField(3), PrimeField(7), PrimeField(23),
+                 extend_field(PrimeField(7), 2)[0], QQ)
+
+
+@st.composite
+def _anchored_cubic(draw):
+    """A smooth cubic through O = (0:0:1) (its l3^3 coefficient is 0) with some
+    of its rational points.  Over Q the coefficients are small integers and
+    smoothness is read off the reduction mod 101, which implies it; the
+    points are O and O*O, whose small heights keep the quartics' roots cheap."""
+    field = draw(st.sampled_from(_GROUP_FIELDS))
+    if field is QQ:
+        ints = [draw(st.integers(-3, 3)) for _ in range(9)]
+        assume(any(ints) and PlaneCubic(PrimeField(101), ints + [0]).smoothness().smooth)
+        C = PlaneCubic(QQ, ints + [0], base_point=(0, 0, 1))
+        return C, [C.base_point, third_point(C, C.base_point, C.base_point)]
+    coeffs = [_element(draw, field) for _ in range(9)] + [field.zero]
+    assume(not all(c.is_zero() for c in coeffs))
+    C = PlaneCubic(field, coeffs, base_point=(0, 0, 1))
+    assume(C.smoothness().smooth)
+    pts = C.rational_points()
+    return C, [pts[draw(st.integers(0, len(pts) - 1))] for _ in range(3)]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_anchored_cubic())
+def test_chords_and_halvings_match_the_substitution_oracles(case):
+    """R = O (the 2-torsion), each drawn point (often with no rational
+    halving) and its double (always halved); chords and tangents."""
+    C, pts = case
+    targets = [C.base_point] + pts + [third_point(C, third_point(C, P, P), C.base_point)
+                                      for P in pts]
+    for R in targets:
+        assert _outcome(_halve, C, R) == _outcome(_halve_oracle, C, R)
+    for P, Q in itertools.product(pts, repeat=2):
+        assert _outcome(third_point, C, P, Q) == _outcome(_third_point_oracle, C, P, Q)
+
+
+# l2^2 l3 - l1^3 + l1 l3^2: full 2-torsion (0:1:0), (0:0:1), (1:0:1), (1:0:-1)
+_ANCHOR = [-1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(7), PrimeField(23),
+                                   extend_field(PrimeField(7), 2)[0], QQ],
+                         ids=["F3", "F7", "F23", "F49", "Q"])
+def test_halving_reaches_a_flex_and_the_direction_at_infinity(field):
+    """With O = (0:1:0), a flex, S = O*O = O has pivot 1, so t = l3/l1 on the
+    lines through S.  The flex tangent l3 = 0 (t = 0) touches at S itself,
+    where the contact vector is zero; the line l1 = 0 is tangent at (0:0:1),
+    the root at infinity of the quartic, which has degree 3."""
+    C = PlaneCubic(field, _ANCHOR, base_point=(0, 1, 0))
+    got = _halve(C, C.base_point)
+    assert _outcome(_halve, C, C.base_point) == _outcome(_halve_oracle, C, C.base_point)
+    assert C.base_point in got and tuple(map(field, (0, 0, 1))) in got
+    # every other target: points with and without a rational halving
+    pts = C.rational_points() if field.order else [C.base_point] + got
+    outs = [_outcome(_halve, C, R) for R in pts]
+    assert outs == [_outcome(_halve_oracle, C, R) for R in pts]
+    if field.order:
+        assert [] in outs and any(len(o) == len(got) for o in outs)
+
+
+def _line_times_conic(field):
+    """l1 (l2^2 + l3^2 + l1 l3) over F7: the line l1 = 0 lies on the curve
+    and misses the conic over F7 (-1 is not a square), so its points are
+    smooth; l1 l2 l3 is singular at (1:0:0)."""
+    line = MPoly(field, 3, {(1, 0, 0): 1})
+    conic = MPoly(field, 3, {(0, 2, 0): 1, (0, 0, 2): 1, (1, 0, 1): 1})
+    return PlaneCubic.from_mpoly(line * conic)
+
+
+def test_third_point_refusals_match_the_oracle():
+    F = PrimeField(7)
+    C = _line_times_conic(F)
+    triangle = PlaneCubic(F, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0])
+    cases = [
+        (C, (0, 1, 0), (0, 1, 3), "the chord lies inside the cubic"),
+        (C, (0, 1, 2), (0, 1, 2), "the tangent line lies inside the cubic"),
+        (triangle, (1, 0, 0), (1, 0, 0), "the cubic is singular at the tangency point"),
+        (C, (1, 1, 1), (0, 1, 0), "point not on curve"),
+        (C, (0, 1, 0), (0, 0, 0), "expected a nonzero plane point"),
+        (C, (0, 1), (0, 1, 0), "expected a nonzero plane point"),
+    ]
+    for curve, P, Q, message in cases:
+        got = _outcome(third_point, curve, P, Q)
+        assert got == _outcome(_third_point_oracle, curve, P, Q)
+        assert got[1] == message
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from((PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11))),
+       st.sampled_from([None, 1, 2]), st.data())
+def test_flat_pfaffian_matches_pfaffian_field(field, wedges, data):
+    """Random skew matrices, and sums of one or two wedges (Pfaffian 0)."""
+    A = _skew_matrix(data.draw, field, 6, wedges)
+    want = pfaffian_field(field, A)
+    assert _pfaffian_raw(field, [field._unwrap(row) for row in A]) == want.v
+    if wedges is not None:
+        assert want.is_zero()
