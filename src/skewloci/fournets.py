@@ -35,12 +35,13 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .linalg import PAIRS, kernel, mat_mul, mat_vec, rank, transpose
+from .linalg import kernel, mat_mul, mat_vec, rank, transpose
 from .nets import (
     Net,
     directrix_planes,
     net_pfaffian_cubic,
     net_type,
+    plane_pair_covectors,
     scroll_fiber,
     sub_pfaffian_forms,
     x_membership,
@@ -53,14 +54,6 @@ from .projective import (
     pluecker_of_line,
     subspace_points,
 )
-
-
-def _pair_covectors(plane: Subspace):
-    field = plane.field
-    out = []
-    for x, y in itertools.combinations(plane.rows, 2):
-        out.append([x[i] * y[j] - x[j] * y[i] for i, j in PAIRS])
-    return out
 
 
 def _halving_target(C: PlaneCubic, F: DivisorClass, k) -> DivisorClass:
@@ -87,8 +80,7 @@ class GammaReport:
         return f"GammaReport(line_rank={self.line_rank})"
 
 
-def gamma_k(net: Net, F: DivisorClass, k, planes=None,
-            seed: int = 0) -> GammaReport:
+def gamma_k(net: Net, F: DivisorClass, k, planes=None) -> GammaReport:
     """Solve for the complex at k determined by a degree-3 class F.
 
     The four double points of the residual pencil |F - k| give four scroll
@@ -113,7 +105,7 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
     if lk.dim != 2:
         raise PreconditionError("k must be a rank-4 point of the net")
     if planes is None:
-        planes = directrix_planes(net, seed=seed).planes
+        planes = directrix_planes(net).planes
     if len(planes) != 2:
         raise DegenerateInputError(
             "both unisecant planes must be defined over the base field"
@@ -128,7 +120,7 @@ def gamma_k(net: Net, F: DivisorClass, k, planes=None,
     lines = [scroll_fiber(net, list(z)) for z in zs]
     Bt = transpose(special_fiber(field, lk).rows)
 
-    plane_conds = _pair_covectors(planes[0]) + _pair_covectors(planes[1])
+    plane_conds = plane_pair_covectors(planes[0]) + plane_pair_covectors(planes[1])
     line_conds = [pluecker_of_line(l) for l in lines]
     conds = mat_mul(plane_conds + line_conds, Bt)
     lemma = kernel(field, conds[:len(plane_conds)])
@@ -232,7 +224,7 @@ def companion_nets(net: Net, samples_per_class: int = 6, cross_samples: int = 50
         raise PreconditionError("the Pfaffian cubic must be smooth")
     O = cubic0.rational_points()[0]
     C = cubic0.anchored(O)
-    drep = directrix_planes(net, seed=seed)
+    drep = directrix_planes(net)
     if len(drep.planes) != 2:
         raise DegenerateInputError(
             "both unisecant planes must be defined over the base field"
@@ -250,7 +242,7 @@ def companion_nets(net: Net, samples_per_class: int = 6, cross_samples: int = 50
             if len(gammas) >= samples_per_class:
                 break
             try:
-                g = gamma_k(net, F_T, k, planes=planes, seed=seed)
+                g = gamma_k(net, F_T, k, planes=planes)
             except UnsupportedFieldError:
                 escalations.append((tuple(T.rep), tuple(k), "irrational-doubles"))
                 continue
@@ -346,7 +338,7 @@ def series_identities(net: Net, trials: int = 10, seed: int = 0) -> SeriesReport
             pullback_ok = False
         pullback_checked += 1
 
-    drep = directrix_planes(net, seed=seed)
+    drep = directrix_planes(net)
     if len(drep.planes) != 2:
         raise DegenerateInputError(
             "both unisecant planes must be defined over the base field"

@@ -53,7 +53,6 @@ from .projective import (
     Subspace,
     _span_points,
     is_exhaustive_prime,
-    line_through,
     meet,
     pluecker_of_line,
     projective_reps,
@@ -424,27 +423,20 @@ def _plane_is_isotropic(field, mats, basis):
     return all(_form_value(A, x, y, field.zero).is_zero() for x, y in pairs for A in mats)
 
 
-def _verify_plane_lines(net: Net, plane: Subspace, rng, samples=20):
-    """Sampled lines inside the plane must belong to every generator."""
-    field = net.field
-    done = 0
-    while done < samples:
-        u = [field.zero] * 6
-        v = [field.zero] * 6
-        for row in plane.rows:
-            cu = field.random(rng)
-            cv = field.random(rng)
-            u = [x + cu * y for x, y in zip(u, row)]
-            v = [x + cv * y for x, y in zip(v, row)]
-        if all(x.is_zero() for x in u) or all(x.is_zero() for x in v):
-            continue
-        if rank(field, [u, v]) != 2:
-            continue
-        line = line_through(field, u, v)
-        if not all(g.contains_line(line) for g in net.generators):
-            return False
-        done += 1
-    return True
+def plane_pair_covectors(plane: Subspace):
+    """The Pluecker rows x ^ y of the plane's three pairs of basis rows.
+
+    By bilinearity a complex contains every line of the plane exactly when
+    its 15 coefficients pair to zero with all three.  Each row is unwrapped
+    once and the products are taken on raw values.
+    """
+    field = plane.field
+    add, mul, neg = field._add, field._mul, field._neg
+    rows = [field._unwrap(r) for r in plane.rows]
+    return [
+        _wrap(field, [add(mul(x[i], y[j]), neg(mul(x[j], y[i]))) for i, j in PAIRS])
+        for x, y in itertools.combinations(rows, 2)
+    ]
 
 
 def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
@@ -456,7 +448,9 @@ def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
     to a whole fiber, its partner there is the other partner's.  Where the
     three are collinear, the isotropic planes through the line p1 p2 lie in
     the kernel N of the six forms A_k(p1, .), A_k(p2, .), so the plane is N
-    when dim N = 3.  Every plane is checked isotropic and on 20 sampled lines.
+    when dim N = 3.  Every plane is checked isotropic on the net's matrices,
+    and then, exactly, by pairing its three Pluecker rows with each
+    generator's coefficients (9 scalars).  seed is unused.
     infinite_family: the quadratics vanish identically, dim N >= 4, or a
     whole fiber of partners completes a plane.
     """
@@ -465,15 +459,15 @@ def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
         raise UnsupportedFieldError("the plane search enumerates a finite field")
     f1, f2, f3 = _fiber_triple(net)
     mats = net.matrices
-    rng = random.Random(seed)
+    coeffs = transpose([list(g.coeffs()) for g in net.generators])
     planes = []
     infinite = False
 
     def add(W):
         if W in planes or not _plane_is_isotropic(field, mats, W.rows):
             return
-        if not _verify_plane_lines(net, W, rng):
-            raise InconsistencyError("candidate plane failed the sampled-line verification")
+        if not all(x.is_zero() for row in mat_mul(plane_pair_covectors(W), coeffs) for x in row):
+            raise InconsistencyError("candidate plane failed the exact line check")
         planes.append(W)
 
     points = _plane_points(field, mats, f1, f2, f3)
@@ -536,19 +530,16 @@ def restricted_fiber_dim(
     """Dimension of the special-fiber complexes whose lines cover the planes.
 
     Also samples other scroll lines and reports whether a single member of
-    the restricted system contains all of them.
+    the restricted system contains all of them.  seed is unused.
     """
     field = net.field
     lam = _fiber_parameter(net, k)
     if lam is None:
         raise PreconditionError("the line is not a fiber of the net's scroll")
     fiber15 = special_fiber(field, k)
-    conds = []
-    for plane in planes:
-        if plane.dim != 3:
-            raise PreconditionError("directrix input must be a plane")
-        for x, y in itertools.combinations(plane.rows, 2):
-            conds.append([x[i] * y[j] - x[j] * y[i] for i, j in PAIRS])
+    if any(plane.dim != 3 for plane in planes):
+        raise PreconditionError("directrix input must be a plane")
+    conds = [row for plane in planes for row in plane_pair_covectors(plane)]
     basis = fiber15.rows
     if conds:
         sols = kernel(field, mat_mul(conds, transpose(basis)))
@@ -589,8 +580,12 @@ class NetTypeReport:
 def net_type(net: Net, seed: int = 0) -> NetTypeReport:
     """Classify the net by the rank of its worst member.
 
-    general means no point of the net plane drops to rank 2; the decision is
-    exact, by eliminating the cubic together with all 15 kernel quadrics.
+    general means no point of the net plane drops to rank 2 over the closure.
+    dPf/da_ij is +- the Pfaffian of the complementary 4x4 block, so the cubic
+    f(lam) = Pf(A_lam) and all its partials vanish at a rank-2 member: a
+    cubic certified smooth over the closure (certificate "resultant") leaves
+    none, and the net is general.  Otherwise the decision is exact, by
+    eliminating the cubic together with all 15 kernel quadrics.
     """
     field = net.field
     for idx, g in enumerate(net.generators):
@@ -602,12 +597,20 @@ def net_type(net: Net, seed: int = 0) -> NetTypeReport:
                 "contains-second-type", witness_kind="generator", witness=lam,
                 generator_index=idx, field=field,
             )
-    forms = [f for f in sub_pfaffian_forms(net) if not f.is_zero()]
     try:
-        cubic_form = net_pfaffian_cubic(net).as_mpoly()
-        forms = [cubic_form] + forms
+        cubic = net_pfaffian_cubic(net)
     except DegenerateInputError:
-        pass
+        cubic = None
+    if cubic is not None:
+        try:
+            smooth = cubic.smoothness(seed=seed)
+        except PreconditionError:
+            smooth = None
+        if smooth and smooth.certificate == "resultant":
+            return NetTypeReport("general", field=field)
+    forms = [f for f in sub_pfaffian_forms(net) if not f.is_zero()]
+    if cubic is not None:
+        forms = [cubic.as_mpoly()] + forms
     if not forms:
         raise InconsistencyError("independent net with no rank conditions")
     search = common_projective_zero(field, forms, seed=seed)

@@ -97,7 +97,7 @@ def test_gamma_recovers_member_at_every_solvable_point():
     goods = _good_points(C, H)
     assert len(goods) == 6
     for k in goods:
-        g = gamma_k(net, H, k, planes=planes, seed=0)
+        g = gamma_k(net, H, k, planes=planes)
         assert len(g.halving_points) == 4
         assert g.pencil_dim == 3
         assert g.line_rank == 3
@@ -113,7 +113,7 @@ def test_gamma_reads_the_fiber_not_the_combination(monkeypatch):
         raise AssertionError("gamma_k built the combination")
 
     monkeypatch.setattr(GenericMorphism, "combination", refuse)
-    g = gamma_k(fresh, H, k, seed=0)
+    g = gamma_k(fresh, H, k)
     assert fresh.fiber(k).dim == 2
     monkeypatch.undo()
     assert g.complex.coeffs() == net.member(list(k)).coeffs()
@@ -131,14 +131,14 @@ def test_gamma_substitutes_nothing(monkeypatch):
     goods = _good_points(C, H)
     assert len(goods) == 6
     for k in goods:
-        g = gamma_k(net, H, k, planes=planes, seed=0)
+        g = gamma_k(net, H, k, planes=planes)
         assert g.complex.coeffs() == net.member(list(k)).coeffs()
 
 
 def test_gamma_halving_points_double_to_residual_class():
     net, C, H, planes = _main()
     k = _good_points(C, H)[0]
-    g = gamma_k(net, H, k, planes=planes, seed=0)
+    g = gamma_k(net, H, k, planes=planes)
     for z in g.halving_points:
         assert C.contains(list(z))
         assert class_eq(class_of(C, [(z, 2), (tuple(k), 1)]), H)
@@ -215,7 +215,7 @@ def test_gamma_refuses_irrational_double_points():
         net, C, H = _anchored_hyperplane(7, seed)
         assert len(halvings(C, _halving_target(C, H, k))) == 0
         with pytest.raises(UnsupportedFieldError, match="not rational"):
-            gamma_k(net, H, k, seed=0)
+            gamma_k(net, H, k)
 
 
 # smooth seeded cubics, one per field, each with four rational 2-torsion classes

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, event, find, given, settings
 from hypothesis import strategies as st
 
 from skewloci import cubic as cubic_module
@@ -48,7 +48,7 @@ from skewloci.nets import (
     type2_singular_locus_check,
     x_membership,
 )
-from skewloci.polys import MPoly, binary_form_to_poly, points_by_lines
+from skewloci.polys import MPoly, binary_form_to_poly, common_projective_zero, points_by_lines
 from skewloci.projective import SCAN_CHUNK, Subspace, join, meet, projective_reps, subspace_points
 
 
@@ -415,6 +415,14 @@ def test_scroll_count_runs_no_p5_scan(monkeypatch):
     assert [count_scroll_points(net).x_count for net in nets] == want
 
 
+def _case_net(case):
+    """A seeded net ("seeded", q, seed) or a corpus net ("corpus", name)."""
+    if case[0] == "corpus":
+        doc = json.loads((Path(nets_module.__file__).parent / "corpus" / case[1]).read_text())
+        return Net.from_pair_vectors(PrimeField(int(doc["field"][1:])), doc["generators"])
+    return selftest.seeded_net(PrimeField(case[1]), case[2])
+
+
 @pytest.mark.parametrize("case", [("seeded", 7, 0), ("seeded", 11, 0), ("seeded", 11, 1),
                                   ("corpus", "net_type2.json")],
                          ids=["F7-s0", "F11-s0", "F11-s1", "net_type2"])
@@ -422,13 +430,8 @@ def test_scroll_count_eliminates_only_singular_members(case, monkeypatch):
     """The count takes a kernel only where Pf(A_lam) = 0, so once per point
     of the Pfaffian cubic; the parameters are found here by the recursive
     Pfaffian of each combination."""
-    if case[0] == "corpus":
-        doc = json.loads((Path(nets_module.__file__).parent / "corpus" / case[1]).read_text())
-        F = PrimeField(int(doc["field"][1:]))
-        net = Net.from_pair_vectors(F, doc["generators"])
-    else:
-        F = PrimeField(case[1])
-        net = selftest.seeded_net(F, case[2])
+    net = _case_net(case)
+    F = net.field
     singular = [lam for lam in projective_reps(F, 3)
                 if pfaffian_field(F, net.combination(lam)).is_zero()]
     calls = []
@@ -828,6 +831,131 @@ def test_net_type_elimination_witness():
     if rep.embedding is not None:
         net = net.map(rep.embedding)
     assert rank(rep.field, net.combination(lam)) == 2
+
+
+def _net_type_by_elimination(net, seed=0):
+    """net_type without the smoothness shortcut, as (kind, witness_kind,
+    generator_index, witness, field, caveat): the generator check, then the
+    cubic eliminated together with every nonzero kernel quadric."""
+    field = net.field
+    for idx, g in enumerate(net.generators):
+        if g.rank() <= 2:
+            lam = [field.one if t == idx else field.zero for t in range(3)]
+            return ("contains-second-type", "generator", idx, lam, field, None)
+    forms = [f for f in sub_pfaffian_forms(net) if not f.is_zero()]
+    try:
+        forms = [net_pfaffian_cubic(net).as_mpoly()] + forms
+    except DegenerateInputError:
+        pass
+    search = common_projective_zero(field, forms, seed=seed)
+    if search.found:
+        witness = None if search.point is None else list(search.point)
+        return ("contains-second-type", "elimination", None, witness,
+                search.point_field, search.caveat)
+    return ("general", None, None, None, field, None)
+
+
+def _net_type_fields(rep):
+    witness = None if rep.witness is None else list(rep.witness)
+    return (rep.kind, rep.witness_kind, rep.generator_index, witness, rep.field, rep.caveat)
+
+
+def _net_case(net):
+    """rank-2 generator, rank-2 member (found only by the elimination),
+    smooth (a closure-exact smooth cubic), or singular-general (a general
+    net whose cubic is not certified smooth)."""
+    kind, witness_kind = _net_type_by_elimination(net)[:2]
+    if kind != "general":
+        return f"rank-2 {witness_kind}"
+    smooth = net_pfaffian_cubic(net).smoothness(seed=0)
+    return "smooth" if smooth and smooth.certificate == "resultant" else "singular-general"
+
+
+@st.composite
+def _wedgy_nets(draw):
+    """A random net over F3-F13; about a third of its generators are one
+    wedge u ^ v or a sum of two.  Half the nets are then written on mixed
+    generators, so a rank-2 member is not a generator and only the
+    elimination finds it."""
+    F = PrimeField(draw(st.sampled_from((3, 5, 7, 11, 13))))
+    scalar = st.integers(0, F.char - 1)
+
+    def wedge():
+        u, v = ([draw(scalar) for _ in range(6)] for _ in range(2))
+        return [u[i] * v[j] - u[j] * v[i] for i, j in PAIRS]
+
+    vecs = []
+    for _ in range(3):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            vecs.append(wedge())
+        elif kind == 1:
+            vecs.append([a + b for a, b in zip(wedge(), wedge())])
+        else:
+            vecs.append([draw(scalar) for _ in range(15)])
+    if draw(st.booleans()):
+        mix = [[draw(scalar) for _ in range(3)] for _ in range(3)]
+        vecs = [[sum(m * v[i] for m, v in zip(row, vecs)) for i in range(15)] for row in mix]
+    try:
+        return Net.from_pair_vectors(F, vecs)
+    except PreconditionError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_wedgy_nets())
+def test_net_type_matches_the_elimination(net):
+    """Generality read off a closure-exact smooth cubic agrees with the
+    elimination of the cubic and the kernel quadrics, field for field."""
+    want = _net_type_by_elimination(net)
+    assert _net_type_fields(net_type(net, seed=0)) == want
+    try:
+        event(_net_case(net))
+    except DegenerateInputError:
+        event("vanishing cubic")
+
+
+@pytest.mark.parametrize("case", ["smooth", "singular-general", "rank-2 generator",
+                                  "rank-2 elimination"])
+def test_wedgy_nets_reach_every_case(case):
+    find(_wedgy_nets(), lambda net: _net_case(net) == case,
+         settings=settings(database=None, max_examples=300, phases=[Phase.generate]))
+
+
+@pytest.mark.parametrize("case", [("seeded", 11, 0), ("seeded", 23, 8), ("seeded", 101, 1),
+                                  ("corpus", "net_f11.json")],
+                         ids=["F11-s0", "F23-s8", "F101-s1", "net_f11"])
+def test_smooth_cubic_net_type_runs_no_elimination(case, monkeypatch):
+    net = _case_net(case)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("net_type eliminated")
+
+    monkeypatch.setattr(nets_module, "common_projective_zero", refuse)
+    monkeypatch.setattr(nets_module, "sub_pfaffian_forms", refuse)
+    assert net_type(net, seed=0).kind == "general"
+
+
+def test_directrix_planes_draw_no_random_scalar(monkeypatch):
+    nets = [_case_net(("corpus", "net_f11.json")), _case_net(("seeded", 101, 1))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a random scalar")
+
+    monkeypatch.setattr(PrimeField, "random", refuse)
+    for net in nets:
+        assert len(directrix_planes(net).planes) == 2
+
+
+def test_directrix_plane_certificate_fires(monkeypatch):
+    # a covector pairing to the first generator's leading coefficient, 1
+    net = _case_net(("corpus", "net_f11.json"))
+    F = net.field
+    lead = next(i for i, c in enumerate(net.generators[0].coeffs()) if not c.is_zero())
+    row = [F.one if i == lead else F.zero for i in range(15)]
+    monkeypatch.setattr(nets_module, "plane_pair_covectors", lambda plane: [row])
+    with pytest.raises(InconsistencyError, match="exact line check"):
+        directrix_planes(net)
 
 
 def test_type2_locus_all_member_and_off_points_fail():

@@ -3,8 +3,9 @@
 rref (with kernel, rank, solve, det, mat_vec and mat_mul), MPoly.evaluate
 (and through it PlaneCubic.evaluate), PlaneCubic.gradient, MPoly's __add__,
 __neg__ and __mul__, specialize_last, Poly's __call__, __mul__ and __divmod__, the
-root scan of small fields, the skew form value of nets, the combinations
-of a morphism's matrices with their kernel (fiber) and x_membership,
+root scan of small fields, the skew form value and plane pair covectors of
+nets, the combinations of a morphism's matrices with their kernel (fiber)
+and x_membership,
 projective's random_vector and pluecker_relations, the cubic's chords
 (third_point) and halvings (_halve), and the flat 6x6 Pfaffian unwrap their
 inputs once and loop on raw values.
@@ -47,7 +48,7 @@ from skewloci.linalg import (
     skew_from_pairs,
     solve,
 )
-from skewloci.nets import _form_value, x_membership
+from skewloci.nets import _form_value, plane_pair_covectors, x_membership
 from skewloci.polys import MPoly, binary_form_to_poly, specialize_last
 from skewloci.projective import Subspace, normalize_projective, pluecker_relations, random_vector
 
@@ -234,6 +235,11 @@ def _mpoly_mul_oracle(f, g):
 
 def _form_value_oracle(A, x, y, zero):
     return sum(((x[i] * y[j] - x[j] * y[i]) * A[i][j] for i, j in PAIRS), start=zero)
+
+
+def _pair_covectors_oracle(plane):
+    return [[x[i] * y[j] - x[j] * y[i] for i, j in PAIRS]
+            for x, y in itertools.combinations(plane.rows, 2)]
 
 
 def _combination_oracle(phi, lam):
@@ -480,6 +486,14 @@ def test_form_value_and_combination_match_the_element_loops(case):
         return
     got = phi.combination(lam)
     assert _raw(got) == _raw(_combination_oracle(phi, lam))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_plane_pair_covectors_match_the_element_loop(field, data):
+    plane = Subspace(field, 6, _matrix(data.draw, field, 3, 6))
+    assume(plane.dim == 3)
+    assert _raw(plane_pair_covectors(plane)) == _raw(_pair_covectors_oracle(plane))
 
 
 @settings(max_examples=60, deadline=None, database=None)
