@@ -21,7 +21,7 @@ from .fields import Field, FieldElement
 from .linalg import (
     PAIR_INDEX,
     PAIRS,
-    _dot,
+    _MATCHINGS_6,
     _kernel_raw,
     _wrap,
     check_skew,
@@ -158,7 +158,7 @@ class GenericMorphism:
     """A tuple of independent skew matrices defining a morphism to twisted forms,
     read once as raw values; fiber(lam) is computed once per parameter."""
 
-    __slots__ = ("field", "n", "m", "matrices", "_raw", "_fibers")
+    __slots__ = ("field", "n", "m", "matrices", "_raw", "_upper", "_fibers")
 
     def __init__(self, field, matrices):
         mats = []
@@ -183,6 +183,7 @@ class GenericMorphism:
             raise PreconditionError("the skew matrices are linearly dependent")
         self.matrices = mats
         self._raw = [[field._unwrap(row) for row in M] for M in mats]
+        self._upper = [field._unwrap(row) for row in flat]
         self._fibers = {}
 
     def _scalars(self, lam):
@@ -193,16 +194,16 @@ class GenericMorphism:
 
     def _combination_raw(self, coeffs):
         """The raw rows of the combination at raw scalars; the matrices are
-        skew, so each entry above the diagonal is summed once."""
+        skew, so their entries above the diagonal are combined once, as one
+        vector per matrix."""
         field = self.field
-        add, mul, neg, zero = field._add, field._mul, field._neg, field.zero.v
-        terms = [(c, M) for c, M in zip(coeffs, self._raw) if not field._is_zero(c)]
-        size = self.n + 1
+        neg, zero, size = field._neg, field.zero.v, self.n + 1
+        upper = [zero] * len(self._upper[0])
+        for c, U in zip(coeffs, self._upper):
+            if not field._is_zero(c):
+                upper = field._axpy(upper, c, U)
         out = [[zero] * size for _ in range(size)]
-        for i, j in itertools.combinations(range(size), 2):
-            a = zero
-            for c, M in terms:
-                a = add(a, mul(c, M[i][j]))
+        for (i, j), a in zip(itertools.combinations(range(size), 2), upper):
             out[i][j], out[j][i] = a, neg(a)
         return out
 
@@ -223,7 +224,8 @@ class GenericMorphism:
 
     def _stacked(self, p):
         """The raw rows of [A_1 p | ... | A_m p] for a raw vector p."""
-        cols = [[_dot(self.field, row, p) for row in M] for M in self._raw]
+        dot = self.field._dot
+        cols = [[dot(row, p) for row in M] for M in self._raw]
         return [list(r) for r in zip(*cols)]
 
     def __repr__(self):
@@ -289,8 +291,33 @@ def pfaffian_args(phi: GenericMorphism):
 
 def pfaffian_form(phi: GenericMorphism) -> MPoly:
     """Pf(lam_1 A_1 + ... + lam_m A_m) as a form of degree (n + 1) / 2 in lam:
-    the binary cubic of a pencil, the ternary cubic of a net."""
-    return pfaffian(*pfaffian_args(phi))
+    the binary cubic of a pencil, the ternary cubic of a net; for 6x6
+    matrices, _matching_form over the 15 signed matchings of {0..5}."""
+    if phi.n != 5:
+        return pfaffian(*pfaffian_args(phi))
+    return _matching_form(phi, _MATCHINGS_6)
+
+
+def _matching_form(phi: GenericMorphism, matchings) -> MPoly:
+    """The sum over (sign, pairs) in matchings of sign * prod l(p), p in
+    pairs, l(p) = sum_k lam_k A_k[p], on the raw matrices: each monomial's
+    coefficient is one dot product of its terms' leading products (taken
+    with _scale) with their last factors."""
+    field, m, is_zero = phi.field, phi.m, phi.field._is_zero
+    terms = {}
+    for sign, pairs in matchings:
+        *head, (i, j) = pairs
+        prods = {(): field.one.v if sign > 0 else field._neg(field.one.v)}
+        for a, b in head:
+            prods = {ks + (k,): y for ks, x in prods.items()
+                     for k, y in enumerate(field._scale([M[a][b] for M in phi._raw], x))
+                     if not is_zero(y)}
+        for ks, x in prods.items():
+            for k, M in enumerate(phi._raw):
+                e = tuple(map((ks + (k,)).count, range(m)))
+                terms.setdefault(e, []).append((x, M[i][j]))
+    coeffs = {e: field._dot(*zip(*xy)) for e, xy in terms.items()}
+    return MPoly._from_raw(field, m, {e: v for e, v in coeffs.items() if not is_zero(v)})
 
 
 def second_type_complex(field: Field, space: Subspace) -> LinearComplex:

@@ -29,7 +29,7 @@ from .fields import (
     identity_embedding,
     roots,
 )
-from .linalg import _dot, _kernel_raw, _wrap, kernel, rank
+from .linalg import _kernel_raw, _wrap, kernel, rank
 from .polys import MPoly, binary_form_to_poly, common_projective_zero, points_by_lines
 from .projective import normalize_projective
 
@@ -39,7 +39,6 @@ MONOMIALS = (
 )
 
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-_CONIC_FACTORS = tuple(zip(CONIC_MONOMIALS, ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))))
 
 
 class PlaneCubic:
@@ -50,8 +49,8 @@ class PlaneCubic:
     form, and gradient evaluates the three partials in one raw pass.
     """
 
-    __slots__ = ("field", "coeffs", "base_point", "_form", "_partials", "_smooth",
-                 "_points", "_tangent_third", "_two_torsion")
+    __slots__ = ("field", "coeffs", "base_point", "_form", "_partials", "_grad_rows",
+                 "_smooth", "_points", "_tangent_third", "_two_torsion")
 
     def __init__(self, field, coeffs, base_point=None):
         if len(coeffs) != 10:
@@ -62,6 +61,7 @@ class PlaneCubic:
             raise DegenerateInputError("the cubic form is identically zero")
         self.coeffs = tuple(self._form.coeff(exps) for exps in MONOMIALS)
         self._partials = tuple(self._form.partial(i) for i in range(3))
+        self._grad_rows = [[dF.coeff(e).v for e in CONIC_MONOMIALS] for dF in self._partials]
         self._smooth = None
         self._points = None
         self._tangent_third = None
@@ -90,15 +90,12 @@ class PlaneCubic:
         return tuple(_wrap(self.field, self._gradient_raw(self.field._unwrap(pt))))
 
     def _gradient_raw(self, x):
-        """The three partials at the raw point x in one pass over its six quadratic monomials."""
+        """The three partials at the raw point x: each is one dot product of
+        its coefficients with x's six quadratic monomials."""
         field = self.field
-        add, mul = field._add, field._mul
-        mono = {e: mul(x[i], x[j]) for e, (i, j) in _CONIC_FACTORS}
-        out = [field.zero.v] * 3
-        for k, dF in enumerate(self._partials):
-            for e, c in dF.terms.items():
-                out[k] = add(out[k], mul(c.v, mono[e]))
-        return out
+        scale, dot = field._scale, field._dot
+        mono = scale(x, x[0]) + scale(x[1:], x[1]) + [field._mul(x[2], x[2])]
+        return [dot(row, mono) for row in self._grad_rows]
 
     def contains(self, pt):
         return self.evaluate(pt).is_zero()
@@ -321,15 +318,19 @@ def third_point(C: PlaneCubic, P, Q):
     with any second point Q on it (c1 = grad F(Q).P, c2 = F(Q)).  The third
     point -c2 P + c1 Q is combined on raw values and normalized once.
     """
+    return _chord(C, _norm_point(C, P), _norm_point(C, Q))
+
+
+def _chord(C: PlaneCubic, P, Q):
+    """third_point of points already normalized and on the curve: the base
+    point, and what _norm_point or an earlier chord returned."""
     field = C.field
     add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
-    P = _norm_point(C, P)
-    Q = _norm_point(C, Q)
     p = field._unwrap(P)
     if P != Q:
         q = field._unwrap(Q)
-        c1 = _dot(field, C._gradient_raw(p), q)
-        c2 = _dot(field, C._gradient_raw(q), p)
+        c1 = field._dot(C._gradient_raw(p), q)
+        c2 = field._dot(C._gradient_raw(q), p)
         if is_zero(c1) and is_zero(c2):
             raise InconsistencyError("the chord lies inside the cubic")
     else:
@@ -339,7 +340,7 @@ def third_point(C: PlaneCubic, P, Q):
         q = next((v for v in _kernel_raw(field, [g]) if _normalized(field, v) != P), None)
         if q is None:
             raise InconsistencyError("tangent line collapsed to a point")
-        c1 = _dot(field, C._gradient_raw(q), p)
+        c1 = field._dot(C._gradient_raw(q), p)
         c2 = C.evaluate(_wrap(field, q)).v
         if is_zero(c1) and is_zero(c2):
             raise InconsistencyError("the tangent line lies inside the cubic")
@@ -356,14 +357,14 @@ def _require_base(C: PlaneCubic):
 def add_points(C: PlaneCubic, P, Q):
     """Chord-tangent sum with the curve's base point as identity."""
     O = _require_base(C)
-    return third_point(C, third_point(C, P, Q), O)
+    return _chord(C, third_point(C, P, Q), O)
 
 
 def neg_point(C: PlaneCubic, P):
     O = _require_base(C)
     if C._tangent_third is None:
-        C._tangent_third = third_point(C, O, O)
-    return third_point(C, P, C._tangent_third)
+        C._tangent_third = _chord(C, O, O)
+    return _chord(C, _norm_point(C, P), C._tangent_third)
 
 
 class DivisorClass:
@@ -426,7 +427,7 @@ def class_eq(a: DivisorClass, b: DivisorClass) -> bool:
 def hyperplane_class(C: PlaneCubic) -> DivisorClass:
     """The degree-3 class of every line section: the tangent at O cuts 2[O] + [O*O]."""
     O = _require_base(C)
-    return DivisorClass(C, 3, third_point(C, O, O))
+    return DivisorClass(C, 3, _chord(C, O, O))
 
 
 class TwoTorsionReport:
@@ -457,7 +458,7 @@ def _halve(C: PlaneCubic, R):
     field = C.field
     add, mul, neg = field._add, field._mul, field._neg
     zero, one, two = field.zero.v, field.one.v, field(2).v
-    S = third_point(C, R, _require_base(C))
+    S = _chord(C, _norm_point(C, R), _require_base(C))
     s = field._unwrap(S)
     piv = _pivot(S)
     ia, ib = _other_indices(piv)
@@ -483,12 +484,12 @@ def _halve(C: PlaneCubic, R):
     for al, be in directions:
         w = [zero] * 3
         w[ia], w[ib] = al, be
-        av = mul(two, _dot(field, a, (al, be)))
-        bv = neg(_dot(field, b, (mul(al, al), mul(al, be), mul(be, be))))
+        av = mul(two, field._dot(a, (al, be)))
+        bv = neg(field._dot(b, (mul(al, al), mul(al, be), mul(be, be))))
         v = [add(mul(av, x), mul(bv, y)) for x, y in zip(w, s)]
         # v vanishes only where a = b = 0: a flex tangent at S, touching at S
-        P = S if all(map(field._is_zero, v)) else _normalized(field, v)
-        if third_point(C, P, P) == S:
+        P = S if all(map(field._is_zero, v)) else _norm_point(C, _normalized(field, v))
+        if _chord(C, P, P) == S:
             out.add(P)
     return sorted(out, key=lambda P: [field.sort_key(x.v) for x in P])
 

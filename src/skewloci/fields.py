@@ -24,7 +24,9 @@ from .errors import InconsistencyError, PreconditionError, UnsupportedFieldError
 
 # Fields with at most this many elements find roots by scanning every
 # element; larger fields use seeded equal-degree splitting.  Measured per
-# monic cubic, the scan is faster up to about F_251 and slower from F_257 on.
+# monic cubic, the native prime-field scan is faster up to about F_1409 and
+# slower from F_1601 on, but the generic scan of F_{p^k} is already slower
+# at F_{3^5} and F_{7^3}, so the one limit stays here.
 SCAN_LIMIT = 256
 
 # The smallest strong pseudoprime to all twelve bases 2..37 (psi_12): below it
@@ -223,6 +225,32 @@ class Field:
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    # whole-vector kernels: one call per vector, so that PrimeField can run
+    # them on native ints; here they are the loops on _add and _mul
+    def _dot(self, a, b):
+        """The raw sum of a_i * b_i."""
+        add, mul = self._add, self._mul
+        acc = self.zero.v
+        for x, y in zip(a, b):
+            acc = add(acc, mul(x, y))
+        return acc
+
+    def _axpy(self, xs, f, ys):
+        """The raw list x_i + f * y_i."""
+        add, mul = self._add, self._mul
+        return [add(x, mul(f, y)) for x, y in zip(xs, ys)]
+
+    def _scale(self, xs, s):
+        """The raw list x_i * s."""
+        mul = self._mul
+        return [mul(x, s) for x in xs]
+
+    def _zeros(self, coeffs):
+        """The raw x, in elements() order, where the polynomial with raw
+        coefficients coeffs (constant term first, nonzero lead) vanishes."""
+        f = Poly._from_raw(self, coeffs)
+        return [a.v for a in self.elements() if f(a).is_zero()]
+
     def sort_key(self, v):
         """Total order on raw values, used only to make outputs deterministic."""
         raise NotImplementedError
@@ -354,6 +382,28 @@ class PrimeField(Field):
 
     def _is_zero(self, a) -> bool:
         return a == 0
+
+    # the vector kernels on native ints: one reduction per output value
+    def _dot(self, a, b):
+        return sum(map(operator.mul, a, b)) % self.char
+
+    def _axpy(self, xs, f, ys):
+        p = self.char
+        return [(x + f * y) % p for x, y in zip(xs, ys)]
+
+    def _scale(self, xs, s):
+        p = self.char
+        return [x * s % p for x in xs]
+
+    def _zeros(self, coeffs):
+        # Horner on every element at once, unreduced until the last step
+        p = self.char
+        lead, *rest = reversed(coeffs)
+        xs = range(p)
+        vals = [lead] * p
+        for c in rest:
+            vals = [v * x + c for v, x in zip(vals, xs)]
+        return [x for x, v in zip(xs, vals) if not v % p]
 
     def sort_key(self, v):
         return v
@@ -583,21 +633,22 @@ def compose_embeddings(first: Embedding, second: Embedding) -> Embedding:
 class Poly:
     """Dense univariate polynomial over one of the fields above.
 
-    Coefficients are stored constant-term first with trailing zeros stripped,
-    so the zero polynomial has an empty tuple and degree -1.
+    The raw coefficients are stored in v, constant term first with trailing
+    zeros stripped, so the zero polynomial has an empty tuple and degree -1;
+    c wraps them as elements when it is read.  Arithmetic runs on v with the
+    field's vector kernels and refuses a polynomial over another field.
     """
 
-    __slots__ = ("field", "c")
+    __slots__ = ("field", "v")
 
     def __init__(self, field: Field, coeffs):
         # ints and Fractions coerce; field(c) refuses an element of another field
-        cs = [field(c) for c in coeffs]
-        vals = [c.v for c in cs]
+        vals = [field(c).v for c in coeffs]
         n = len(vals)
         while n and field._is_zero(vals[n - 1]):
             n -= 1
         self.field = field
-        self.c = tuple(cs[:n])
+        self.v = tuple(vals[:n])
 
     @classmethod
     def _from_raw(cls, field: Field, vals) -> "Poly":
@@ -608,7 +659,7 @@ class Poly:
             n -= 1
         f = object.__new__(cls)
         f.field = field
-        f.c = tuple([FieldElement(field, v) for v in vals[:n]])
+        f.v = tuple(vals[:n])
         return f
 
     @classmethod
@@ -620,54 +671,63 @@ class Poly:
         return cls(field, [value])
 
     @property
+    def c(self) -> tuple:
+        """The coefficients as elements, constant term first."""
+        field = self.field
+        return tuple([FieldElement(field, x) for x in self.v])
+
+    @property
     def degree(self) -> int:
-        return len(self.c) - 1
+        return len(self.v) - 1
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.v
 
     def lead(self) -> FieldElement:
-        if not self.c:
+        if not self.v:
             raise PreconditionError("zero polynomial has no leading coefficient")
-        return self.c[-1]
+        return FieldElement(self.field, self.v[-1])
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.v:
             return self
-        return self * self.lead().inverse()
+        field = self.field
+        return Poly._from_raw(field, field._scale(self.v, field._inv(self.v[-1])))
+
+    def _other(self, other: "Poly") -> tuple:
+        """other's raw coefficients, refused when it lives over another field."""
+        if other.field is not self.field and other.field != self.field:
+            raise PreconditionError(f"field mismatch: {self.field!r} vs {other.field!r} "
+                                    "(use an explicit embedding)")
+        return other.v
 
     def __add__(self, other):
-        a, b = self.c, other.c
+        field = self.field
+        a, b = self.v, self._other(other)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] = out[i] + x
-        return Poly(self.field, out)
+        add = field._add
+        return Poly._from_raw(field, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.field, [-x for x in self.c])
+        neg = self.field._neg
+        return Poly._from_raw(self.field, [neg(x) for x in self.v])
 
     def __mul__(self, other):
         field = self.field
-        mul = field._mul
         if isinstance(other, FieldElement):
             (o,) = field._unwrap((other,))
-            return Poly._from_raw(field, [mul(x.v, o) for x in self.c])
-        if self.is_zero() or other.is_zero():
-            return Poly(field, [])
-        add, is_zero = field._add, field._is_zero
-        b = field._unwrap(other.c)
-        out = [field.zero.v] * (len(self.c) + len(b) - 1)
-        for i, x in enumerate(self.c):
-            x = x.v
-            if is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
+            return Poly._from_raw(field, field._scale(self.v, o))
+        a, b = self.v, self._other(other)
+        if not a or not b:
+            return Poly._from_raw(field, ())
+        out, n = [field.zero.v] * (len(a) + len(b) - 1), len(b)
+        for i, x in enumerate(a):
+            if not field._is_zero(x):
+                out[i:i + n] = field._axpy(out[i:i + n], x, b)
         return Poly._from_raw(field, out)
 
     def __rmul__(self, other):
@@ -676,25 +736,26 @@ class Poly:
         return NotImplemented
 
     def __divmod__(self, other: "Poly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         field = self.field
+        dv = self._other(other)
+        if not dv:
+            raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
-            return Poly(field, []), self
-        add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
-        rem = [x.v for x in self.c]
-        dv = field._unwrap(other.c)
+            return Poly._from_raw(field, ()), self
+        axpy, neg, is_zero = field._axpy, field._neg, field._is_zero
+        rem = list(self.v)
         d = len(dv) - 1
+        # divide by the monic other / lead, and the quotient by lead at the end
         inv = field._inv(dv[d])
+        low = dv[:d] if inv == field.one.v else field._scale(dv[:d], inv)
         quot = [None] * (len(rem) - d)
         # each step clears rem[i + d], so only rem[i:i + d] is updated
         for i in range(len(quot) - 1, -1, -1):
-            coef = mul(rem[i + d], inv)
-            quot[i] = coef
+            coef = quot[i] = rem[i + d]
             if not is_zero(coef):
-                coef = neg(coef)
-                for j in range(d):
-                    rem[i + j] = add(rem[i + j], mul(coef, dv[j]))
+                rem[i:i + d] = axpy(rem[i:i + d], neg(coef), low)
+        if inv != field.one.v:
+            quot = field._scale(quot, inv)
         return Poly._from_raw(field, quot), Poly._from_raw(field, rem[:d])
 
     def __mod__(self, other):
@@ -704,24 +765,24 @@ class Poly:
         return divmod(self, other)[0]
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.field == other.field and self.c == other.c
+        return isinstance(other, Poly) and self.field == other.field and self.v == other.v
 
     def __hash__(self):
-        return hash((self.field, self.c))
+        return hash((self.field, self.v))
 
     def __call__(self, x: FieldElement) -> FieldElement:
         field = self.field
         (x,) = field._unwrap((x,))
-        if not self.c:
+        if not self.v:
             return field.zero
         add, mul = field._add, field._mul
-        acc = self.c[-1].v
-        for c in self.c[-2::-1]:
-            acc = add(mul(acc, x), c.v)
+        acc = self.v[-1]
+        for c in self.v[-2::-1]:
+            acc = add(mul(acc, x), c)
         return FieldElement(field, acc)
 
     def derivative(self) -> "Poly":
-        return Poly(self.field, [self.c[i] * i for i in range(1, len(self.c))])
+        return Poly(self.field, [c * i for i, c in enumerate(self.c) if i])
 
     def pow_mod(self, n: int, mod: "Poly") -> "Poly":
         out = Poly(self.field, [1])
@@ -736,12 +797,9 @@ class Poly:
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
-        terms = []
-        for i, x in enumerate(self.c):
-            if x.is_zero():
-                continue
-            terms.append(f"{self.field.format(x.v)}*x^{i}")
-        return "Poly(" + " + ".join(terms) + f" over {self.field.short()})"
+        field = self.field
+        terms = [f"{field.format(x)}*x^{i}" for i, x in enumerate(self.v) if not field._is_zero(x)]
+        return "Poly(" + " + ".join(terms) + f" over {field.short()})"
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -775,7 +833,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
         d = f.derivative()
         if d.is_zero():
             # f is a p-th power; take the root and recurse with multiplicity p
-            root_cs = [_pth_root(field, f.c[i]) for i in range(0, len(f.c), p)]
+            root_cs = [_pth_root(field, c) for c in f.c[::p]]
             decompose(Poly(field, root_cs), mult * p)
             return
         w = poly_gcd(f, d)
@@ -877,7 +935,7 @@ def factor(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
         for prod, d in _distinct_degree(sf):
             for irr in _equal_degree_factor(prod, d, rng):
                 result.append((irr, mult))
-    result.sort(key=lambda pair: (pair[0].degree, [field.sort_key(c.v) for c in pair[0].c]))
+    result.sort(key=lambda pair: (pair[0].degree, [field.sort_key(c) for c in pair[0].v]))
     return result
 
 
@@ -944,7 +1002,7 @@ def extend_field(base: Field, degree: int, seed: int = 0) -> tuple[ExtField, Emb
     prime = PrimeField(base.char)
     total = base.degree * degree
     modulus = _find_irreducible(prime, total, seed)
-    ext = ExtField(base.char, tuple(c.v for c in modulus.c))
+    ext = ExtField(base.char, modulus.v)
     if isinstance(base, PrimeField):
         return ext, Embedding(base, ext, None)
     # embed the base by sending its generator to a root of its modulus
@@ -990,18 +1048,10 @@ def _deflate(f: Poly, a: FieldElement) -> tuple[Poly, int]:
 
 
 def _scan_roots(f: Poly) -> list[tuple[FieldElement, int]]:
-    """The roots of f in elements() order, by a Horner scan on raw values."""
+    """The roots of f in elements() order, by the field's raw root scan."""
     field = f.field
-    add, mul = field._add, field._mul
-    lead, *rest = [c.v for c in reversed(f.c)]
-    out = []
-    for a in field.elements():
-        x, acc = a.v, lead
-        for c in rest:
-            acc = add(mul(acc, x), c)
-        if field._is_zero(acc):
-            out.append((a, _deflate(f, a)[1]))
-    return out
+    zs = [FieldElement(field, x) for x in field._zeros(f.v)]
+    return [(a, _deflate(f, a)[1]) for a in zs]
 
 
 def _pollard_rho(n: int) -> int:
@@ -1066,9 +1116,9 @@ def _int_divisors(n: int, cap: int = 100_000) -> list[int]:
 def _rational_roots(f: Poly) -> list[tuple[FieldElement, int]]:
     # clear denominators, then run the rational root test with multiplicities
     den = 1
-    for c in f.c:
-        den = den * c.v.denominator // math.gcd(den, c.v.denominator)
-    ints = [int(c.v * den) for c in f.c]
+    for c in f.v:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in f.v]
     out = []
     g = f
     # root at zero

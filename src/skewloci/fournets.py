@@ -20,13 +20,14 @@ from .complexes import LinearComplex, special_fiber
 from .cubic import (
     DivisorClass,
     PlaneCubic,
+    _chord,
+    _norm_point,
     class_add,
     class_eq,
     class_of,
     halvings,
     hyperplane_class,
     polar_contact,
-    third_point,
     two_torsion,
 )
 from .errors import (
@@ -60,9 +61,11 @@ def _halving_target(C: PlaneCubic, F: DivisorClass, k) -> DivisorClass:
     """The degree-0 class F - k - 2O, as [R] - [O] with R = k*(F.rep*O).
 
     The lines through F.rep and O, and through k and F.rep*O, give
-    [k] + [F.rep*O] + [R] ~ [F.rep] + [O] + [F.rep*O].
+    [k] + [F.rep*O] + [R] ~ [F.rep] + [O] + [F.rep*O].  F.rep and k are
+    checked on the curve once; F.rep*O and the base point are not re-checked.
     """
-    return DivisorClass(C, 0, third_point(C, k, third_point(C, F.rep, C.base_point)))
+    inner = _chord(C, _norm_point(C, F.rep), C.base_point)
+    return DivisorClass(C, 0, _chord(C, _norm_point(C, k), inner))
 
 
 class GammaReport:

@@ -6,9 +6,11 @@ kernels have canonical bases and can be compared entrywise.
 
 The scalar kernels (rref and the routines built on it, det, mat_vec,
 mat_mul) read the entries' raw values once with Field._unwrap, which refuses
-an entry of another field, loop on raw values through the field's _add,
-_mul, _neg, _inv and _is_zero, and build FieldElements once for the result
-(_rref_raw and _kernel_raw serve callers that already hold raw rows).
+an entry of another field, run on whole raw rows through the field's vector
+kernels (_dot for products, _scale and _axpy for row operations; PrimeField
+runs them on native ints with one reduction per output), and build
+FieldElements once for the result (_rref_raw and _kernel_raw serve callers
+that already hold raw rows).
 
 The Pfaffian code is written against generic ring elements (anything with
 +, -, * and is_zero) so the same recursion serves field matrices and
@@ -41,21 +43,14 @@ def _wrap(field, vals):
     return [FieldElement(field, v) for v in vals]
 
 
-def _dot(field, a, b):
-    add, mul = field._add, field._mul
-    acc = field.zero.v
-    for x, y in zip(a, b):
-        acc = add(acc, mul(x, y))
-    return acc
-
-
 def mat_mul(A, B):
     if not A:
         return []
     field = A[0][0].field
+    dot = field._dot
     Bt = [field._unwrap(col) for col in zip(*B)]
     return [
-        _wrap(field, [_dot(field, row, col) for col in Bt])
+        _wrap(field, [dot(row, col) for col in Bt])
         for row in map(field._unwrap, A)
     ]
 
@@ -65,13 +60,13 @@ def mat_vec(A, v):
         return []
     field = A[0][0].field
     v = field._unwrap(v)
-    return _wrap(field, [_dot(field, field._unwrap(row), v) for row in A])
+    return _wrap(field, [field._dot(field._unwrap(row), v) for row in A])
 
 
 def _rref_raw(field, R):
     """Row-reduce the raw rows R in place; returns (R[:rank], pivots)."""
-    add, mul, neg, inv, is_zero = (
-        field._add, field._mul, field._neg, field._inv, field._is_zero,
+    axpy, scale, neg, inv, is_zero = (
+        field._axpy, field._scale, field._neg, field._inv, field._is_zero,
     )
     m = len(R)
     n = len(R[0]) if m else 0
@@ -87,17 +82,14 @@ def _rref_raw(field, R):
             continue
         R[r], R[pr] = R[pr], R[r]
         # rows r.. vanish left of column c, so only columns c.. change
-        s = inv(R[r][c])
-        head = R[r][:c]
-        tail = [mul(x, s) for x in R[r][c:]]
-        R[r] = head + tail
+        tail = scale(R[r][c:], inv(R[r][c]))
+        R[r] = R[r][:c] + tail
         for i in range(m):
             if i != r:
                 row = R[i]
                 f = row[c]
                 if not is_zero(f):
-                    f = neg(f)
-                    row[c:] = [add(x, mul(f, y)) for x, y in zip(row[c:], tail)]
+                    row[c:] = axpy(row[c:], neg(f), tail)
         pivots.append(c)
         r += 1
         if r == m:
@@ -154,14 +146,19 @@ def _matchings(idx):
 _MATCHINGS_6 = _matchings(tuple(range(6)))
 
 
+# the matchings by the partner j of 0, as (j, [((k, l), (m, n))]), (m, n)
+# transposed where the sign is negative: A[n][m] = -A[m][n]
+_PF6_GROUPS = [(j, [(kl, mn if s > 0 else mn[::-1]) for s, ((_, i), kl, mn) in _MATCHINGS_6
+                    if i == j]) for j in range(1, 6)]
+
+
 def _pfaffian_raw(field, A):
-    """Pfaffian of raw 6x6 skew rows: one flat sum over the 15 signed matchings of {0..5}."""
-    add, mul, neg = field._add, field._mul, field._neg
-    acc = field.zero.v
-    for sign, ((i, j), (k, l), (m, n)) in _MATCHINGS_6:
-        t = mul(mul(A[i][j], A[k][l]), A[m][n])
-        acc = add(acc, t if sign > 0 else neg(t))
-    return acc
+    """Pfaffian of raw 6x6 skew rows: the flat sum over the 15 signed
+    matchings of {0..5}, as A[0][j] times one dot product per partner j."""
+    dot = field._dot
+    inner = [dot([A[k][l] for (k, l), _ in ts], [A[m][n] for _, (m, n) in ts])
+             for _, ts in _PF6_GROUPS]
+    return dot([A[0][j] for j, _ in _PF6_GROUPS], inner)
 
 
 def kernel(field, rows):
@@ -174,8 +171,8 @@ def det(field, rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise PreconditionError("determinant needs a square matrix")
-    add, mul, neg, inv, is_zero = (
-        field._add, field._mul, field._neg, field._inv, field._is_zero,
+    axpy, mul, neg, inv, is_zero = (
+        field._axpy, field._mul, field._neg, field._inv, field._is_zero,
     )
     R = [field._unwrap(r) for r in rows]
     acc = field.one.v
@@ -199,7 +196,7 @@ def det(field, rows):
             row = R[i]
             if not is_zero(row[c]):
                 f = neg(mul(row[c], s))
-                row[c + 1:] = [add(x, mul(f, y)) for x, y in zip(row[c + 1:], pivot_tail)]
+                row[c + 1:] = axpy(row[c + 1:], f, pivot_tail)
     return FieldElement(field, acc)
 
 

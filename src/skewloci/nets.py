@@ -17,7 +17,7 @@ import random
 from .complexes import (
     ComplexSystem,
     LinearComplex,
-    pfaffian_args,
+    _matching_form,
     pfaffian_form,
     special_fiber,
 )
@@ -33,25 +33,25 @@ from .errors import (
     PreconditionError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, Poly, factor, poly_gcd, roots
+from .fields import Poly, factor, poly_gcd, roots
 from .linalg import (
     PAIRS,
     _kernel_raw,
+    _matchings,
     _pfaffian_raw,
     _rref_raw,
     _wrap,
     identity,
     kernel,
     mat_mul,
-    mat_vec,
     rank,
-    sub_pfaffians_6,
     transpose,
 )
 from .polys import MPoly, common_projective_zero, points_by_lines
 from .projective import (
     Subspace,
     _span_points,
+    _wedge_raw,
     is_exhaustive_prime,
     meet,
     pluecker_of_line,
@@ -62,15 +62,16 @@ from .projective import (
 )
 
 
-def _form_value(A, x, y, zero):
-    """x^T A y for a skew A and scalar vectors x, y, on raw values."""
-    field = zero.field
-    add, mul, neg = field._add, field._mul, field._neg
-    x, y = field._unwrap(x), field._unwrap(y)
-    acc = zero.v
-    for (i, j), c in zip(PAIRS, field._unwrap([A[i][j] for i, j in PAIRS])):
-        acc = add(acc, mul(add(mul(x[i], y[j]), neg(mul(x[j], y[i]))), c))
-    return FieldElement(field, acc)
+def _form_value(field, A, x, y):
+    """x^T A y for the raw rows A and raw vectors x, y."""
+    dot = field._dot
+    return dot(x, [dot(row, y) for row in A])
+
+
+def _disjoint_lines(field, a, b) -> bool:
+    """Whether the raw bases a, b of two lines span a 3-space, i.e. the lines
+    are disjoint; rows are copied, as _rref_raw reduces them in place."""
+    return len(_rref_raw(field, [list(r) for r in a + b])[1]) == 4
 
 
 class Net(ComplexSystem):
@@ -138,15 +139,22 @@ def sub_pfaffian_forms(net: Net):
     Built once per net and returned as a tuple.
     """
     if net._sforms is None:
-        net._sforms = tuple(sub_pfaffians_6(*pfaffian_args(net)))
+        # (-1)^(i+j) times the Pfaffian of the minor without rows i and j
+        net._sforms = tuple(
+            _matching_form(net, [(s if (i + j) % 2 == 0 else -s, ps) for s, ps in _matchings(rest)])
+            for i, j in PAIRS for rest in [tuple(k for k in range(6) if k not in (i, j))]
+        )
     return net._sforms
 
 
 def rational_fibers(net: Net):
     """Yield (lam, line) for each rational point lam of the Pfaffian cubic
     whose combination has rank 4, in rational_points order; line is the
-    combination's kernel, the scroll's fiber over lam."""
-    for lam in net_pfaffian_cubic(net).rational_points():
+    combination's kernel, the scroll's fiber over lam.  The points are read
+    lazily: the cubic's list when it is kept, else the same sweep."""
+    cubic = net_pfaffian_cubic(net)
+    points = cubic._points if cubic._points is not None else points_by_lines(cubic.as_mpoly())
+    for lam in points:
         fib = net.fiber(lam)
         if fib.dim == 2:
             yield lam, fib
@@ -194,11 +202,11 @@ def count_scroll_points(net: Net) -> ScrollCountReport:
     kernels = (_kernel_raw(field, A) for A in mats if field._is_zero(_pfaffian_raw(field, A)))
     x_count = len({tuple(p) for basis in kernels for p in _span_points(field, 6, basis)})
     c_count = len(cubic.rational_points())
-    fibers = [line for _, line in rational_fibers(net)]
+    fibers = [[field._unwrap(r) for r in line.rows] for _, line in rational_fibers(net)]
     # on the cubic the rank is at most 4, and exactly 4 iff the kernel is a line
     ranks_all_four = len(fibers) == c_count
     fibers_disjoint = all(
-        meet(a, b).dim == 0 for a, b in itertools.combinations(fibers, 2)
+        _disjoint_lines(field, a, b) for a, b in itertools.combinations(fibers, 2)
     )
     q = field.char
     fibered = x_count == (q + 1) * c_count
@@ -270,11 +278,11 @@ def probe_section(net: Net, f, g, seed: int = 0) -> ProbeTrial:
     g = [field(x) for x in g]
     if rank(field, [f, g]) != 2:
         raise PreconditionError("the section needs two independent linear forms")
-    wdual = [f[i] * g[j] - f[j] * g[i] for i, j in PAIRS]
-    Q = MPoly.zero(field, 3)
-    for w, s in zip(wdual, sub_pfaffian_forms(net)):
-        if not w.is_zero():
-            Q = Q + s * MPoly.constant(field, 3, w)
+    # Q = sum_k (f ^ g)_k s_k: each coefficient is one dot product
+    wdual = _wedge_raw(field, field._unwrap(f), field._unwrap(g))
+    forms = sub_pfaffian_forms(net)
+    Q = {e: field._dot(wdual, [s.coeff(e).v for s in forms]) for e in CONIC_MONOMIALS}
+    Q = MPoly._from_raw(field, 3, {e: v for e, v in Q.items() if not field._is_zero(v)})
     if Q.is_zero():
         return ProbeTrial(None, None, True, "incidence-quadric-vanished")
     conic = tuple(Q.coeff(e) for e in CONIC_MONOMIALS)
@@ -349,13 +357,16 @@ class DirectrixReport:
 
 
 def _fiber_triple(net: Net):
-    """Three pairwise-disjoint rational line fibers."""
+    """Three pairwise-disjoint rational line fibers, the first in
+    rational_fibers order; the sweep stops at the third."""
+    field = net.field
     picked = []
     for _, fib in rational_fibers(net):
-        if all(meet(fib, other).dim == 0 for other in picked):
-            picked.append(fib)
+        rows = [field._unwrap(r) for r in fib.rows]
+        if all(_disjoint_lines(field, rows, other) for _, other in picked):
+            picked.append((fib, rows))
         if len(picked) == 3:
-            return picked
+            return [f for f, _ in picked]
     raise DegenerateInputError(
         "needs three pairwise-disjoint rational fibers; the field is too small "
         "or the net too degenerate"
@@ -363,31 +374,33 @@ def _fiber_triple(net: Net):
 
 
 def _isotropic_solutions(field, mats, p1, fib):
-    """Points p of the fiber with A_k(p1, p) = 0 for all k; None means all of them."""
-    u, v = fib.rows
-    rows = [[_form_value(A, p1, w, field.zero) for w in (u, v)] for A in mats]
-    kern = kernel(field, rows)
+    """Raw points p of the fiber with A_k(p1, p) = 0 for all raw matrices
+    A_k; None means all of them."""
+    u, v = map(field._unwrap, fib.rows)
+    rows = [[_form_value(field, A, p1, w) for w in (u, v)] for A in mats]
+    kern = _kernel_raw(field, rows)
     if len(kern) == 2:
         return None
-    return [[a * x + b * y for x, y in zip(u, v)] for a, b in kern]
+    return [field._axpy(field._scale(u, a), b, v) for a, b in kern]
 
 
-def _partner_maps(mats, u, v, fib, zero):
+def _partner_maps(field, mats, u, v, fib):
     """Per row (a, b) = (A(X, u'), A(X, v')) not vanishing at both X = u and
     X = v: the images at u and at v of the linear map X -> b u' - a v' into
-    fib = <u', v'>."""
-    u2, v2 = fib.rows
+    fib = <u', v'>, on raw values."""
+    u2, v2 = map(field._unwrap, fib.rows)
+    neg = field._neg
     maps = []
     for A in mats:
-        at_u, at_v = ([_form_value(A, X, w, zero) for w in (u2, v2)] for X in (u, v))
-        if all(x.is_zero() for x in at_u + at_v):
+        at_u, at_v = ([_form_value(field, A, X, w) for w in (u2, v2)] for X in (u, v))
+        if all(map(field._is_zero, at_u + at_v)):
             continue
-        maps.append(tuple([b * x - a * y for x, y in zip(u2, v2)] for a, b in (at_u, at_v)))
+        maps.append(tuple(field._axpy(field._scale(u2, b), neg(a), v2) for a, b in (at_u, at_v)))
     return maps
 
 
 def _plane_points(field, mats, f1, f2, f3):
-    """The points of f1 where a plane can meet it, in subspace_points order.
+    """The raw points of f1 where a plane can meet it, in subspace_points order.
 
     For p = s u + t v and partner maps P2, P3 onto f2, f3, every binary
     quadratic A_j(P2(p), P3(p)) vanishes at a plane point (so does one whose
@@ -396,31 +409,32 @@ def _plane_points(field, mats, f1, f2, f3):
     maps are linear in p, so each quadratic's coefficients are four values
     of A_j at the images of u and v.
     """
-    u, v = f1.rows
-    zero = field.zero
+    u, v = map(field._unwrap, f1.rows)
     g, drop = None, None
-    for P2u, P2v in _partner_maps(mats, u, v, f2, zero):
-        for P3u, P3v in _partner_maps(mats, u, v, f3, zero):
+    maps3 = _partner_maps(field, mats, u, v, f3)
+    for P2u, P2v in _partner_maps(field, mats, u, v, f2):
+        for P3u, P3v in maps3:
             for A in mats:
                 coeffs = [
-                    _form_value(A, P2u, P3u, zero),
-                    _form_value(A, P2u, P3v, zero) + _form_value(A, P2v, P3u, zero),
-                    _form_value(A, P2v, P3v, zero),
+                    _form_value(field, A, P2u, P3u),
+                    field._add(_form_value(field, A, P2u, P3v), _form_value(field, A, P2v, P3u)),
+                    _form_value(field, A, P2v, P3v),
                 ]
-                p = Poly(field, coeffs)
+                p = Poly._from_raw(field, coeffs)
                 if not p.is_zero():
                     d = 2 - p.degree
                     g, drop = (p, d) if g is None else (poly_gcd(g, p), min(drop, d))
     if g is None:
         return None
-    params = [(field.one, x) for x, _ in roots(g).pairs] if g.degree >= 1 else []
-    params += [(field.zero, field.one)] if drop > 0 else []
-    return [[a * x + b * y for x, y in zip(u, v)] for a, b in params]
+    zero, one = field.zero.v, field.one.v
+    params = [(one, x.v) for x, _ in roots(g).pairs] if g.degree >= 1 else []
+    params += [(zero, one)] if drop > 0 else []
+    return [field._axpy(field._scale(u, a), b, v) for a, b in params]
 
 
 def _plane_is_isotropic(field, mats, basis):
-    pairs = itertools.combinations(basis, 2)
-    return all(_form_value(A, x, y, field.zero).is_zero() for x, y in pairs for A in mats)
+    pairs = list(itertools.combinations(map(field._unwrap, basis), 2))
+    return all(field._is_zero(_form_value(field, A, x, y)) for x, y in pairs for A in mats)
 
 
 def plane_pair_covectors(plane: Subspace):
@@ -431,12 +445,8 @@ def plane_pair_covectors(plane: Subspace):
     once and the products are taken on raw values.
     """
     field = plane.field
-    add, mul, neg = field._add, field._mul, field._neg
     rows = [field._unwrap(r) for r in plane.rows]
-    return [
-        _wrap(field, [add(mul(x[i], y[j]), neg(mul(x[j], y[i]))) for i, j in PAIRS])
-        for x, y in itertools.combinations(rows, 2)
-    ]
+    return [_wrap(field, _wedge_raw(field, x, y)) for x, y in itertools.combinations(rows, 2)]
 
 
 def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
@@ -458,7 +468,7 @@ def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
     if field.order is None:
         raise UnsupportedFieldError("the plane search enumerates a finite field")
     f1, f2, f3 = _fiber_triple(net)
-    mats = net.matrices
+    mats, dot = net._raw, field._dot
     coeffs = transpose([list(g.coeffs()) for g in net.generators])
     planes = []
     infinite = False
@@ -485,11 +495,11 @@ def directrix_planes(net: Net, seed: int = 0) -> DirectrixReport:
             continue
         for p2 in sol2:
             for p3 in sol3:
-                W = Subspace(field, 6, [p1, p2, p3])
+                W = Subspace(field, 6, [_wrap(field, p) for p in (p1, p2, p3)])
                 if W.dim < 3:
                     # collapsed span: the isotropic planes through p1 p2 lie in N
-                    N = kernel(field, [mat_vec(A, p) for A in mats for p in (p1, p2)])
-                    W = Subspace(field, 6, N)
+                    N = _kernel_raw(field, [[dot(r, p) for r in A] for A in mats for p in (p1, p2)])
+                    W = Subspace(field, 6, [_wrap(field, r) for r in N])
                     infinite = infinite or W.dim > 3
                 if W.dim == 3:
                     add(W)

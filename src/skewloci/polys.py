@@ -339,7 +339,8 @@ def specialize_last(H: MPoly, x0: FieldElement, y0: FieldElement, emb: Embedding
     add, mul = K._add, K._mul
     # as in MPoly.evaluate, powers[i][k] is the raw k-th power of x0 or y0
     powers = [[None, x] for x in K._unwrap((x0, y0))]
-    vals = K._unwrap([emb(c) for c in H.terms.values()])
+    cs = H.terms.values()
+    vals = K._unwrap(cs if emb.src == K and emb.dst == K else [emb(c) for c in cs])
     coeffs = [K.zero.v] * (max(e[2] for e in H.terms) + 1)
     for e, v in zip(H.terms, vals):
         for pw, k in zip(powers, e):

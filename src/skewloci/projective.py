@@ -14,7 +14,7 @@ import itertools
 
 from .errors import PreconditionError, UnsupportedFieldError
 from .fields import Field
-from .linalg import PAIR_INDEX, PAIRS, _wrap, kernel, rref
+from .linalg import PAIR_INDEX, _wrap, kernel, rref
 
 # Prime fields up to this order are scanned exhaustively.  It also keeps the
 # int64 scan exact: every entry it forms is below q <= 11, so a condition
@@ -139,8 +139,18 @@ def pluecker_of_line(line: Subspace):
     """The 15 Pluecker coordinates of a line in P^5, lex pair order."""
     if line.n != 6 or line.dim != 2:
         raise PreconditionError("expected a line in P^5")
-    u, v = line.rows
-    return [u[i] * v[j] - u[j] * v[i] for i, j in PAIRS]
+    field = line.field
+    return _wrap(field, _wedge_raw(field, *map(field._unwrap, line.rows)))
+
+
+def _wedge_raw(field: Field, x, y):
+    """The raw x_i y_j - x_j y_i, (i, j) in PAIRS order: for each i, one
+    vector over j > i."""
+    axpy, scale, neg = field._axpy, field._scale, field._neg
+    out = []
+    for i in range(len(x) - 1):
+        out += axpy(scale(y[i + 1:], x[i]), neg(y[i]), x[i + 1:])
+    return out
 
 
 def normalize_projective(vec):
@@ -203,12 +213,12 @@ def projective_reps(field: Field, d: int):
 
 def _span_points(field: Field, n: int, rows):
     """The raw points c * rows in k^n of raw rows, c in projective_reps order."""
-    add, mul = field._add, field._mul
+    axpy, zero = field._axpy, field.zero.v
     for coeffs in projective_reps(field, len(rows)):
-        v = [field.zero.v] * n
+        v = [zero] * n
         for c, row in zip(coeffs, rows):
             if not c.is_zero():
-                v = [add(a, mul(c.v, b)) for a, b in zip(v, row)]
+                v = axpy(v, c.v, row)
         yield v
 
 
@@ -224,13 +234,12 @@ def subspace_points(space: Subspace):
 def random_vector(space: Subspace, rng):
     """A nonzero vector of the subspace with seeded random coordinates."""
     field = space.field
-    add, mul = field._add, field._mul
     rows = [field._unwrap(r) for r in space.rows]
     while True:
         cs = [field.random(rng).v for _ in range(space.dim)]
         v = [field.zero.v] * space.n
         for c, row in zip(cs, rows):
-            v = [add(a, mul(c, b)) for a, b in zip(v, row)]
+            v = field._axpy(v, c, row)
         if not all(map(field._is_zero, v)):
             return _wrap(field, v)
 

@@ -459,7 +459,7 @@ def criterion_9() -> CriterionResult:
         for plane in rep.planes:
             if any(meet(plane, fib).dim != 1 for fib in fibers):
                 fails.append((seed, "unisecant"))
-            if not _plane_is_isotropic(F, net.matrices, plane.rows):
+            if not _plane_is_isotropic(F, net._raw, plane.rows):
                 fails.append((seed, "isotropy"))
         for k in fibers[:10]:
             rrep = restricted_fiber_dim(net, k, rep.planes, seed=0)

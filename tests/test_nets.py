@@ -24,6 +24,7 @@ from skewloci.errors import (
 from skewloci.fields import QQ, Poly, PrimeField, extend_field, poly_gcd, roots
 from skewloci.linalg import (
     PAIRS,
+    _wrap,
     kernel,
     mat_vec,
     pfaffian,
@@ -739,7 +740,9 @@ def test_scalar_plane_points_match_the_binary_forms():
     outcomes = set()
     for net, triple in _seeded_triples():
         field, mats = net.field, net.matrices
-        got = _plane_points(field, mats, *triple)
+        got = _plane_points(field, net._raw, *triple)
+        if got is not None:
+            got = [_wrap(field, p) for p in got]
         assert got == _mpoly_plane_points(field, mats, *triple)
         outcomes.add(None if got is None else len(got))
     # the identically vanishing case and nets with two candidate points
@@ -754,7 +757,7 @@ def test_plane_points_build_no_binary_forms(monkeypatch):
         raise AssertionError("_plane_points multiplied MPolys")
 
     monkeypatch.setattr(MPoly, "__mul__", refuse)
-    assert len(_plane_points(net.field, net.matrices, *triple)) == 2
+    assert len(_plane_points(net.field, net._raw, *triple)) == 2
 
 
 def test_directrix_planes_of_a_rank2_net_are_an_infinite_family():

@@ -9,12 +9,16 @@ and x_membership,
 projective's random_vector and pluecker_relations, the cubic's chords
 (third_point) and halvings (_halve), and the flat 6x6 Pfaffian unwrap their
 inputs once and loop on raw values.
+The four vector kernels of PrimeField (_dot, _axpy, _scale, _zeros) are
+checked against Field's generic loops, raw-coefficient Poly against the
+element-loop Poly, and the flat Pfaffian form against the recursion.
 The oracles below are the element-by-element loops they replaced, kept here
 as the reference: every result must agree exactly, over prime fields,
 extensions and Q.
 """
 
 import itertools
+import sys
 import random
 from fractions import Fraction
 
@@ -22,35 +26,71 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewloci.complexes import GenericMorphism
-from skewloci.cubic import MONOMIALS, PlaneCubic, _halve, _norm_point, third_point
+from skewloci import cubic as cubic_module
+from skewloci import nets as nets_module
+from skewloci import selftest
+from skewloci.complexes import GenericMorphism, pfaffian_args, pfaffian_form
+from skewloci.cubic import (
+    MONOMIALS,
+    PlaneCubic,
+    _halve,
+    _norm_point,
+    add_points,
+    third_point,
+)
 from skewloci.errors import InconsistencyError, PreconditionError
 from skewloci.fields import (
+    PRIME_BOUND,
     QQ,
+    Field,
     Poly,
     PrimeField,
     _deflate,
+    _is_probable_prime,
     _scan_roots,
     extend_field,
     identity_embedding,
+    poly_gcd,
     roots,
 )
 from skewloci.linalg import (
+    PAIR_INDEX,
     PAIRS,
     _pfaffian_raw,
+    _rref_raw,
     det,
     kernel,
     mat_mul,
     mat_vec,
+    pfaffian,
     pfaffian_field,
     rank,
     rref,
     skew_from_pairs,
     solve,
+    sub_pfaffians_6,
 )
-from skewloci.nets import _form_value, plane_pair_covectors, x_membership
-from skewloci.polys import MPoly, binary_form_to_poly, specialize_last
-from skewloci.projective import Subspace, normalize_projective, pluecker_relations, random_vector
+from skewloci.fournets import _halving_target
+from skewloci.nets import (
+    Net,
+    _fiber_triple,
+    _form_value,
+    count_scroll_points,
+    net_pfaffian_cubic,
+    plane_pair_covectors,
+    rational_fibers,
+    sub_pfaffian_forms,
+    x_membership,
+)
+from skewloci.pencils import Pencil
+from skewloci.polys import MPoly, binary_form_to_poly, points_by_lines, specialize_last
+from skewloci.projective import (
+    Subspace,
+    meet,
+    normalize_projective,
+    pluecker_relations,
+    random_vector,
+)
 
 FIELDS = (
     PrimeField(7), PrimeField(101), extend_field(PrimeField(7), 2)[0],
@@ -478,8 +518,8 @@ def _skew_case(draw, size=6, wedges=None):
 def test_form_value_and_combination_match_the_element_loops(case):
     field, mats, (x, y), lam = case
     for A in mats:
-        got = _form_value(A, x, y, field.zero)
-        assert got == _form_value_oracle(A, x, y, field.zero) and got.field is field
+        got = _form_value(field, [field._unwrap(r) for r in A], field._unwrap(x), field._unwrap(y))
+        assert got == _form_value_oracle(A, x, y, field.zero).v
     try:
         phi = GenericMorphism(field, mats)
     except PreconditionError:  # dependent matrices
@@ -783,3 +823,219 @@ def test_flat_pfaffian_matches_pfaffian_field(field, wedges, data):
     assert _pfaffian_raw(field, [field._unwrap(row) for row in A]) == want.v
     if wedges is not None:
         assert want.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the whole-vector kernels: PrimeField's native ints against Field's loops
+
+NEAR_BOUND = next(n for n in range(PRIME_BOUND - 2, 0, -2) if _is_probable_prime(n))
+
+
+def _residue(draw, p):
+    """0 and p - 1 a third of the time each, else any residue."""
+    return draw(st.sampled_from((0, p - 1, None))) or draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from((3, 5, 7, 101, 251, NEAR_BOUND)), st.data())
+def test_prime_field_kernels_match_the_generic_loops(p, data):
+    F = PrimeField(p)
+    n = data.draw(st.integers(0, 8))
+    xs, ys = ([_residue(data.draw, p) for _ in range(n)] for _ in range(2))
+    f = _residue(data.draw, p)
+    assert F._dot(xs, ys) == Field._dot(F, xs, ys)
+    assert F._axpy(xs, f, ys) == Field._axpy(F, xs, f, ys)
+    assert F._scale(xs, f) == Field._scale(F, xs, f)
+    if p <= 251:
+        coeffs = [_residue(data.draw, p) for _ in range(data.draw(st.integers(0, 6)))]
+        coeffs.append(data.draw(st.integers(1, p - 1)))
+        assert F._zeros(coeffs) == Field._zeros(F, coeffs)
+
+
+def _pow_mod_oracle(f, n, mod):
+    out = Poly(f.field, [1])
+    base = _poly_divmod_oracle(f, mod)[1]
+    while n:
+        if n & 1:
+            out = _poly_divmod_oracle(_poly_mul_oracle(out, base), mod)[1]
+        base = _poly_divmod_oracle(_poly_mul_oracle(base, base), mod)[1]
+        n >>= 1
+    return out
+
+
+def _gcd_oracle(f, g):
+    while not g.is_zero():
+        f, g = g, _poly_divmod_oracle(f, g)[1]
+    if f.is_zero():
+        return f
+    inv = f.lead().inverse()
+    return Poly(f.field, [c * inv for c in f.c])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from((PrimeField(7), extend_field(PrimeField(7), 2)[0], QQ)), st.data())
+def test_raw_poly_matches_the_element_loop_poly(field, data):
+    f, g = (Poly(field, [_element(data.draw, field) for _ in range(data.draw(st.integers(0, 6)))])
+            for _ in range(2))
+    assert f * g == _poly_mul_oracle(f, g)
+    assert f.c == tuple(field(c) for c in f.v) and all(c.field is field for c in f.c)
+    if g.is_zero():
+        return
+    assert divmod(f, g) == _poly_divmod_oracle(f, g)
+    assert poly_gcd(f, g) == _gcd_oracle(f, g)
+    if field.order is not None and g.degree >= 1:
+        n = data.draw(st.integers(0, 60))
+        assert f.pow_mod(n, g) == _pow_mod_oracle(f, n, g)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from((PrimeField(7), extend_field(PrimeField(7), 2)[0], QQ)),
+       st.sampled_from((Pencil, Net)), st.sampled_from([None, 1]), st.data())
+def test_flat_pfaffian_forms_match_the_recursion(field, cls, wedges, data):
+    """pfaffian_form of pencils and nets, and a net's 15 kernel forms."""
+    mats = [_skew_matrix(data.draw, field, 6, wedges) for _ in range(cls.arity)]
+    try:
+        phi = cls(field, *mats)
+    except PreconditionError:  # dependent matrices
+        return
+    assert pfaffian_form(phi) == pfaffian(*pfaffian_args(phi))
+    if cls is Net:
+        assert sub_pfaffian_forms(phi) == tuple(sub_pfaffians_6(*pfaffian_args(phi)))
+
+
+def _refuse_prime_mul(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("a per-scalar PrimeField._mul")
+
+    monkeypatch.setattr(PrimeField, "_mul", refuse)
+
+
+def test_rref_divmod_and_roots_make_no_scalar_products(monkeypatch):
+    F = PrimeField(101)
+    rng = random.Random(5)
+    rows = [[rng.randrange(101) for _ in range(6)] for _ in range(6)]
+    f = Poly(F, [rng.randrange(101) for _ in range(7)] + [1])
+    g = Poly(F, [rng.randrange(101) for _ in range(3)] + [3])
+    # x^3 (x - 2)^2 (x - 5) (x^2 + 2): roots 0, 2 and 5, with multiplicities
+    h = Poly(F, [0, 0, 0, 1])
+    for a in (2, 2, 5):
+        h = h * Poly(F, [-a, 1])
+    h = h * Poly(F, [2, 0, 1])
+    _refuse_prime_mul(monkeypatch)
+    R, pivots = _rref_raw(F, rows)
+    assert len(pivots) == 6
+    q, r = divmod(f, g)
+    assert q.degree == 4 and r.degree <= 2
+    assert [(x.v, m) for x, m in roots(h).pairs] == [(0, 3), (2, 2), (5, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the lazy fibre triple, the chord step and the rank-4 disjointness test
+
+
+def _counting_sweep(monkeypatch):
+    seen = []
+
+    def sweep(F):
+        for pt in points_by_lines(F):
+            seen.append(pt)
+            yield pt
+
+    monkeypatch.setattr(nets_module, "points_by_lines", sweep)
+    return seen
+
+
+@pytest.mark.parametrize("q, seed", [(101, 0), (101, 1), (101, 2), (11, 0)])
+def test_fiber_triple_stops_at_the_third_disjoint_fiber(q, seed, monkeypatch):
+    net = selftest.seeded_net(PrimeField(q), seed)
+    want = []
+    for lam in net_pfaffian_cubic(selftest.seeded_net(PrimeField(q), seed)).rational_points():
+        fib = net.fiber(lam)
+        if fib.dim == 2 and all(meet(fib, other).dim == 0 for other in want) and len(want) < 3:
+            want.append(fib)
+    seen = _counting_sweep(monkeypatch)
+
+    def refuse(self):
+        raise AssertionError("enumerated every rational point")
+
+    monkeypatch.setattr(PlaneCubic, "rational_points", refuse)
+    assert _fiber_triple(net) == want
+    assert len(seen) < len(list(points_by_lines(net_pfaffian_cubic(net).as_mpoly())))
+    assert net_pfaffian_cubic(net)._points is None
+
+
+def test_rational_fibers_read_the_kept_point_list(monkeypatch):
+    net = selftest.seeded_net(PrimeField(11), 0)
+    want = list(rational_fibers(net))
+    net_pfaffian_cubic(net).rational_points()
+    seen = _counting_sweep(monkeypatch)
+    assert list(rational_fibers(net)) == want and not seen
+
+
+def _norm_calls(monkeypatch):
+    calls = []
+
+    def counted(C, pt):
+        calls.append(pt)
+        return _norm_point(C, pt)
+
+    monkeypatch.setattr(cubic_module, "_norm_point", counted)
+    monkeypatch.setattr(sys.modules["skewloci.fournets"], "_norm_point", counted)
+    return calls
+
+
+def _anchored_criterion_11_cubic():
+    net = selftest.seeded_net(PrimeField(23), 8)
+    C0 = net_pfaffian_cubic(net)
+    pts = C0.rational_points()
+    return C0.anchored(pts[0]), pts
+
+
+def test_chords_check_only_new_points(monkeypatch):
+    C, pts = _anchored_criterion_11_cubic()
+    P, Q, k = pts[1], pts[2], pts[3]
+    want_sum = add_points(C, P, Q)
+    H = cubic_module.hyperplane_class(C)
+    want_target = third_point(C, k, third_point(C, H.rep, C.base_point))
+    calls = _norm_calls(monkeypatch)
+    assert add_points(C, P, Q) == want_sum
+    assert calls == [P, Q]
+    del calls[:]
+    assert _halving_target(C, H, k).rep == want_target
+    assert calls == [H.rep, k]
+
+
+def test_public_chords_keep_their_checks():
+    C, pts = _anchored_criterion_11_cubic()
+    off = next(p for p in itertools.product(range(23), repeat=3)
+               if any(p) and not C.contains([C.field(x) for x in p]))
+    for call in (lambda: third_point(C, off, pts[1]), lambda: add_points(C, pts[1], off),
+                 lambda: third_point(C, pts[1], (0, 0, 0))):
+        with pytest.raises(PreconditionError, match="point not on curve|nonzero plane point"):
+            call()
+
+
+def _pairs_vec(**kw):
+    v = [0] * 15
+    for name, c in kw.items():
+        v[PAIR_INDEX[int(name[1]), int(name[2])]] = c
+    return v
+
+
+@pytest.mark.parametrize("case", ["block", "F5-s0", "F7-s1", "F11-s0"])
+def test_fibers_disjoint_by_rank_matches_the_meets(case, monkeypatch):
+    if case == "block":
+        F = PrimeField(7)
+        net = Net.from_pair_vectors(F, [_pairs_vec(p01=1), _pairs_vec(p23=1), _pairs_vec(p45=1)])
+    else:
+        q, seed = case[1:].split("-s")
+        net = selftest.seeded_net(PrimeField(int(q)), int(seed))
+    fibers = [line for _, line in rational_fibers(net)]
+    want = all(meet(a, b).dim == 0 for a, b in itertools.combinations(fibers, 2))
+
+    def refuse(*args):
+        raise AssertionError("a Zassenhaus meet")
+
+    monkeypatch.setattr(nets_module, "meet", refuse)
+    assert count_scroll_points(net).fibers_disjoint == want
+    assert want == (case != "block")
