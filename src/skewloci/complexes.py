@@ -21,13 +21,12 @@ from .fields import Field, FieldElement
 from .linalg import (
     PAIR_INDEX,
     PAIRS,
-    _MATCHINGS_6,
     _kernel_raw,
+    _matchings,
     _wrap,
     check_skew,
     mat_vec,
     pairs_from_skew,
-    pfaffian,
     pfaffian_field,
     rank,
     skew_from_pairs,
@@ -274,28 +273,13 @@ class ComplexSystem(GenericMorphism):
         return f"{type(self).__name__}(over {self.field.short()})"
 
 
-def pfaffian_args(phi: GenericMorphism):
-    """The combination matrix with linear-form entries in phi.m variables,
-    with the zero and one it is reduced over."""
-    field, m, size = phi.field, phi.m, phi.n + 1
-    zero = MPoly.zero(field, m)
-    entries = [[zero] * size for _ in range(size)]
-    for k, M in enumerate(phi.matrices):
-        exps = tuple(1 if t == k else 0 for t in range(m))
-        for i in range(size):
-            for j in range(size):
-                if not M[i][j].is_zero():
-                    entries[i][j] = entries[i][j] + MPoly(field, m, {exps: M[i][j]})
-    return entries, zero, MPoly.constant(field, m, field.one)
-
-
 def pfaffian_form(phi: GenericMorphism) -> MPoly:
     """Pf(lam_1 A_1 + ... + lam_m A_m) as a form of degree (n + 1) / 2 in lam:
-    the binary cubic of a pencil, the ternary cubic of a net; for 6x6
-    matrices, _matching_form over the 15 signed matchings of {0..5}."""
-    if phi.n != 5:
-        return pfaffian(*pfaffian_args(phi))
-    return _matching_form(phi, _MATCHINGS_6)
+    the binary cubic of a pencil, the ternary cubic of a net; one
+    _matching_form over the signed matchings of {0..n} (15 for 6x6)."""
+    if phi.n % 2 == 0:
+        raise PreconditionError("pfaffian needs even size")
+    return _matching_form(phi, _matchings(tuple(range(phi.n + 1))))
 
 
 def _matching_form(phi: GenericMorphism, matchings) -> MPoly:

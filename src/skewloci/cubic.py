@@ -50,7 +50,7 @@ class PlaneCubic:
     """
 
     __slots__ = ("field", "coeffs", "base_point", "_form", "_partials", "_grad_rows",
-                 "_smooth", "_points", "_tangent_third", "_two_torsion")
+                 "_smooth", "_points", "_sweep", "_tangent_third", "_two_torsion")
 
     def __init__(self, field, coeffs, base_point=None):
         if len(coeffs) != 10:
@@ -64,6 +64,7 @@ class PlaneCubic:
         self._grad_rows = [[dF.coeff(e).v for e in CONIC_MONOMIALS] for dF in self._partials]
         self._smooth = None
         self._points = None
+        self._sweep = None
         self._tangent_third = None
         self._two_torsion = None
         self._set_base_point(base_point)
@@ -117,7 +118,7 @@ class PlaneCubic:
         """The same curve with another base point.  The form, its partials,
         the point list and the smoothness verdict do not depend on the base
         point and are shared; the 2-torsion classes and the tangent's third
-        point do, and are not."""
+        point do, and are not.  A point sweep in progress is shared too."""
         C = copy.copy(self)
         C._tangent_third = None
         C._two_torsion = None
@@ -130,10 +131,29 @@ class PlaneCubic:
             bp = tuple(emb(x) for x in self.base_point)
         return PlaneCubic(emb.dst, [emb(c) for c in self.coeffs], base_point=bp)
 
+    def iter_points(self):
+        """Yield the rational points in points_by_lines order.  All iterators
+        share one lazy sweep, advanced only past the points found so far; its
+        list is kept as the point list once it runs to its end."""
+        if self._points is not None:
+            yield from self._points
+            return
+        if self._sweep is None:
+            self._sweep = ([], points_by_lines(self._form))
+        found, sweep = self._sweep
+        i = 0
+        while True:
+            if i == len(found):
+                pt = next(sweep, None)
+                if pt is None:
+                    break
+                found.append(pt)
+            yield found[i]
+            i += 1
+        self._points, self._sweep = found, None
+
     def rational_points(self):
-        if self._points is None:
-            self._points = list(points_by_lines(self._form))
-        return list(self._points)
+        return list(self.iter_points())
 
     def smoothness(self, seed=0):
         if self._smooth is None:

@@ -151,10 +151,8 @@ def rational_fibers(net: Net):
     """Yield (lam, line) for each rational point lam of the Pfaffian cubic
     whose combination has rank 4, in rational_points order; line is the
     combination's kernel, the scroll's fiber over lam.  The points are read
-    lazily: the cubic's list when it is kept, else the same sweep."""
-    cubic = net_pfaffian_cubic(net)
-    points = cubic._points if cubic._points is not None else points_by_lines(cubic.as_mpoly())
-    for lam in points:
+    lazily, through the cubic's iter_points."""
+    for lam in net_pfaffian_cubic(net).iter_points():
         fib = net.fiber(lam)
         if fib.dim == 2:
             yield lam, fib

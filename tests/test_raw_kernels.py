@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from skewloci import cubic as cubic_module
 from skewloci import nets as nets_module
 from skewloci import selftest
-from skewloci.complexes import GenericMorphism, pfaffian_args, pfaffian_form
+from skewloci.complexes import GenericMorphism, pfaffian_form
 from skewloci.cubic import (
     MONOMIALS,
     PlaneCubic,
@@ -293,6 +293,21 @@ def _combination_oracle(phi, lam):
             for j in range(size):
                 out[i][j] = out[i][j] + c * M[i][j]
     return out
+
+
+def _pfaffian_args(phi):
+    """The combination matrix with linear-form entries in phi.m variables,
+    with the zero and one it is reduced over: pfaffian's arguments."""
+    field, m, size = phi.field, phi.m, phi.n + 1
+    zero = MPoly.zero(field, m)
+    entries = [[zero] * size for _ in range(size)]
+    for k, M in enumerate(phi.matrices):
+        exps = tuple(1 if t == k else 0 for t in range(m))
+        for i in range(size):
+            for j in range(size):
+                if not M[i][j].is_zero():
+                    entries[i][j] = entries[i][j] + MPoly(field, m, {exps: M[i][j]})
+    return entries, zero, MPoly.constant(field, m, field.one)
 
 
 def _scan_roots_oracle(f):
@@ -898,10 +913,28 @@ def test_flat_pfaffian_forms_match_the_recursion(field, cls, wedges, data):
         phi = cls(field, *mats)
     except PreconditionError:  # dependent matrices
         return
-    assert pfaffian_form(phi) == pfaffian(*pfaffian_args(phi))
+    assert pfaffian_form(phi) == pfaffian(*_pfaffian_args(phi))
     if cls is Net:
-        assert sub_pfaffian_forms(phi) == tuple(sub_pfaffians_6(*pfaffian_args(phi)))
+        assert sub_pfaffian_forms(phi) == tuple(sub_pfaffians_6(*_pfaffian_args(phi)))
 
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from((PrimeField(7), QQ)), st.sampled_from([(4, 2), (8, 3)]), st.data())
+def test_pfaffian_form_of_other_even_sizes_matches_the_recursion(field, shape, data):
+    size, m = shape
+    try:
+        phi = GenericMorphism(field, [_skew_matrix(data.draw, field, size, None) for _ in range(m)])
+    except PreconditionError:  # dependent matrices
+        return
+    assert pfaffian_form(phi) == pfaffian(*_pfaffian_args(phi))
+
+
+def test_pfaffian_form_refuses_odd_sizes():
+    F = PrimeField(7)
+    M = [[0] * 5 for _ in range(5)]
+    M[0][1], M[1][0] = 1, -1
+    with pytest.raises(PreconditionError):
+        pfaffian_form(GenericMorphism(F, [M]))
 
 def _refuse_prime_mul(monkeypatch):
     def refuse(self, a, b):
@@ -941,7 +974,7 @@ def _counting_sweep(monkeypatch):
             seen.append(pt)
             yield pt
 
-    monkeypatch.setattr(nets_module, "points_by_lines", sweep)
+    monkeypatch.setattr(cubic_module, "points_by_lines", sweep)
     return seen
 
 
@@ -966,10 +999,22 @@ def test_fiber_triple_stops_at_the_third_disjoint_fiber(q, seed, monkeypatch):
 
 def test_rational_fibers_read_the_kept_point_list(monkeypatch):
     net = selftest.seeded_net(PrimeField(11), 0)
-    want = list(rational_fibers(net))
+    want = list(rational_fibers(selftest.seeded_net(PrimeField(11), 0)))
     net_pfaffian_cubic(net).rational_points()
     seen = _counting_sweep(monkeypatch)
     assert list(rational_fibers(net)) == want and not seen
+
+
+def test_the_fibre_walks_share_one_point_sweep(monkeypatch):
+    net = selftest.seeded_net(PrimeField(11), 0)
+    want = net_pfaffian_cubic(selftest.seeded_net(PrimeField(11), 0)).rational_points()
+    seen = _counting_sweep(monkeypatch)
+    next(rational_fibers(net))
+    assert net_pfaffian_cubic(net)._points is None  # an abandoned walk keeps no list
+    list(rational_fibers(net))
+    assert net_pfaffian_cubic(net).rational_points() == want
+    list(rational_fibers(net))
+    assert seen == want
 
 
 def _norm_calls(monkeypatch):
