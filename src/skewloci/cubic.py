@@ -306,13 +306,6 @@ def chord_line(P, Q):
     return a
 
 
-def tangent_line(C: PlaneCubic, P):
-    g = list(C.gradient(P))
-    if all(x.is_zero() for x in g):
-        raise PreconditionError("the cubic is singular at the tangency point")
-    return g
-
-
 def _norm_point(C, pt):
     p = tuple(C.field(x) for x in pt)
     if len(p) != 3 or all(x.is_zero() for x in p):
@@ -432,10 +425,6 @@ def class_add(a: DivisorClass, b: DivisorClass) -> DivisorClass:
     if a.curve != b.curve:
         raise PreconditionError("classes live on different curves")
     return DivisorClass(a.curve, a.degree + b.degree, add_points(a.curve, a.rep, b.rep))
-
-
-def class_neg(a: DivisorClass) -> DivisorClass:
-    return DivisorClass(a.curve, -a.degree, neg_point(a.curve, a.rep))
 
 
 def class_eq(a: DivisorClass, b: DivisorClass) -> bool:

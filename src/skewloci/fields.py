@@ -1048,9 +1048,12 @@ def _deflate(f: Poly, a: FieldElement) -> tuple[Poly, int]:
 
 
 def _scan_roots(f: Poly) -> list[tuple[FieldElement, int]]:
-    """The roots of f in elements() order, by the field's raw root scan."""
+    """The roots of f in elements() order, by the field's raw root scan.
+    deg f distinct roots are all simple, so only fewer roots need _deflate."""
     field = f.field
     zs = [FieldElement(field, x) for x in field._zeros(f.v)]
+    if len(zs) == f.degree:
+        return [(a, 1) for a in zs]
     return [(a, _deflate(f, a)[1]) for a in zs]
 
 

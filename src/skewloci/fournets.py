@@ -198,7 +198,7 @@ class FourNetsReport:
 def _scroll_sample(net, count):
     """Rational scroll points collected fiber by fiber."""
     out = []
-    for lam in net_pfaffian_cubic(net).rational_points():
+    for lam in net_pfaffian_cubic(net).iter_points():
         for pt in subspace_points(scroll_fiber(net, list(lam))):
             out.append(pt)
             if len(out) >= count:

@@ -12,9 +12,9 @@ runs them on native ints with one reduction per output), and build
 FieldElements once for the result (_rref_raw and _kernel_raw serve callers
 that already hold raw rows).
 
-The Pfaffian code is written against generic ring elements (anything with
-+, -, * and is_zero) so the same recursion serves field matrices and
-matrices of polynomials.
+The one numeric Pfaffian, _pfaffian_raw, is skew elimination on raw rows of
+any even order, cubic in the order; pfaffian_field and sub_pfaffians_6_field
+check their input and call it.  The symbolic one is complexes._matching_form.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _kernel_raw(field, R):
 
 
 def _matchings(idx):
-    """(sign, pairs) for the perfect matchings of idx, signed as in pfaffian."""
+    """(sign, pairs) for the perfect matchings of idx, signed by first-row expansion."""
     if not idx:
         return [(1, ())]
     return [((-1) ** pos * sign, ((idx[0], j),) + rest)
@@ -143,22 +143,30 @@ def _matchings(idx):
             for sign, rest in _matchings(idx[1:pos + 1] + idx[pos + 2:])]
 
 
-_MATCHINGS_6 = _matchings(tuple(range(6)))
-
-
-# the matchings by the partner j of 0, as (j, [((k, l), (m, n))]), (m, n)
-# transposed where the sign is negative: A[n][m] = -A[m][n]
-_PF6_GROUPS = [(j, [(kl, mn if s > 0 else mn[::-1]) for s, ((_, i), kl, mn) in _MATCHINGS_6
-                    if i == j]) for j in range(1, 6)]
-
-
 def _pfaffian_raw(field, A):
-    """Pfaffian of raw 6x6 skew rows: the flat sum over the 15 signed
-    matchings of {0..5}, as A[0][j] times one dot product per partner j."""
-    dot = field._dot
-    inner = [dot([A[k][l] for (k, l), _ in ts], [A[m][n] for _, (m, n) in ts])
-             for _, ts in _PF6_GROUPS]
-    return dot([A[0][j] for j, _ in _PF6_GROUPS], inner)
+    """Pfaffian of the raw even-order skew rows A, by skew elimination.
+
+    With a = A[0][1], Pf(A) = a * Pf(S) for the skew Schur complement
+    S[i][l] = A[i][l] + (A[i][0] A[1][l] - A[i][1] A[0][l]) / a, i, l >= 2,
+    each row of S two _axpy calls.  If A[0][1] is zero, index 1 is first
+    swapped with the first j that has A[0][j] != 0 in rows and columns,
+    which flips the sign; a zero first row gives 0.  A is not mutated.
+    """
+    axpy, mul, neg, inv, is_zero = field._axpy, field._mul, field._neg, field._inv, field._is_zero
+    acc = field.one.v
+    while A:
+        top = A[0]
+        if is_zero(top[1]):
+            j = next((j for j in range(2, len(A)) if not is_zero(top[j])), None)
+            if j is None:
+                return field.zero.v
+            perm = [0, j, *range(2, j), 1, *range(j + 1, len(A))]
+            A = [[A[r][c] for c in perm] for r in perm]
+            top, acc = A[0], neg(acc)
+        acc, s = mul(acc, top[1]), inv(top[1])
+        t, piv, top = neg(s), A[1][2:], top[2:]
+        A = [axpy(axpy(row[2:], mul(row[0], s), piv), mul(row[1], t), top) for row in A[2:]]
+    return acc
 
 
 def kernel(field, rows):
@@ -249,56 +257,27 @@ def pairs_from_skew(A):
     return [A[i][j] for i, j in PAIRS]
 
 
-def pfaffian(A, zero, one):
-    """Pfaffian of an even-size skew matrix over any commutative ring.
-
-    First-row expansion: the term for column j carries sign (-1)^(j-1).
-    """
-    n = len(A)
-    if n % 2 != 0:
-        raise PreconditionError("pfaffian needs even size")
-
-    def rec(idx):
-        if not idx:
-            return one
-        i0 = idx[0]
-        rest = idx[1:]
-        total = zero
-        for pos, j in enumerate(rest):
-            a = A[i0][j]
-            if a.is_zero():
-                continue
-            sub = rest[:pos] + rest[pos + 1 :]
-            term = a * rec(sub)
-            total = total + term if pos % 2 == 0 else total - term
-        return total
-
-    return rec(tuple(range(n)))
-
-
 def pfaffian_field(field, A):
     check_skew(field, A)
-    return pfaffian(A, field.zero, field.one)
+    if len(A) % 2:
+        raise PreconditionError("pfaffian needs even size")
+    return FieldElement(field, _pfaffian_raw(field, [field._unwrap(r) for r in A]))
 
 
-def sub_pfaffians_6(A, zero, one):
+def sub_pfaffians_6_field(field, A):
     """The 15 signed principal sub-Pfaffians of a 6x6 skew matrix.
 
     Entry for the pair (i, j) is (-1)^(i+j) times the Pfaffian of the matrix
     with rows and columns i and j removed.  For a rank-4 matrix the resulting
     vector is proportional to the Pluecker vector of the 2-dimensional kernel.
     """
+    check_skew(field, A)
     if len(A) != 6:
         raise PreconditionError("expected a 6x6 matrix")
+    R = [field._unwrap(r) for r in A]
     out = []
     for i, j in PAIRS:
-        idx = tuple(k for k in range(6) if k not in (i, j))
-        sub = [[A[r][c] for c in idx] for r in idx]
-        val = pfaffian(sub, zero, one)
-        out.append(val if (i + j) % 2 == 0 else -val)
-    return out
-
-
-def sub_pfaffians_6_field(field, A):
-    check_skew(field, A)
-    return sub_pfaffians_6(A, field.zero, field.one)
+        idx = [k for k in range(6) if k not in (i, j)]
+        val = _pfaffian_raw(field, [[R[r][c] for c in idx] for r in idx])
+        out.append(val if (i + j) % 2 == 0 else field._neg(val))
+    return _wrap(field, out)

@@ -8,7 +8,6 @@ import, so the two entry points can never drift apart.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 
@@ -31,7 +30,6 @@ from .errors import PreconditionError
 from .fields import QQ, PrimeField
 from .fournets import companion_nets
 from .linalg import (
-    PAIRS,
     det,
     kernel,
     pfaffian_field,
@@ -60,6 +58,7 @@ from .projective import (
     meet,
     normalize_projective,
     pluecker_of_line,
+    pluecker_relations,
     random_vector,
     subspace_points,
 )
@@ -211,14 +210,7 @@ def criterion_3() -> CriterionResult:
             for i in range(15)
             for j in range(i + 1, 15)
         )
-        relations = all(
-            (
-                sub[PAIRS.index((i, j))] * sub[PAIRS.index((k, l))]
-                - sub[PAIRS.index((i, k))] * sub[PAIRS.index((j, l))]
-                + sub[PAIRS.index((i, l))] * sub[PAIRS.index((j, k))]
-            ).is_zero()
-            for i, j, k, l in itertools.combinations(range(6), 4)
-        )
+        relations = all(r.is_zero() for r in pluecker_relations(F, sub))
         if not (proportional and relations):
             fails += 1
     return CriterionResult(

@@ -19,8 +19,15 @@ from hypothesis import strategies as st
 from skewloci import cli, polys, selftest
 from skewloci.cli import load_schema, main
 from skewloci.errors import PreconditionError
-from skewloci.fields import PRIME_BOUND, PrimeField, extend_field, identity_embedding
-from skewloci.linalg import PAIRS
+from skewloci.fields import (
+    PRIME_BOUND,
+    PrimeField,
+    extend_field,
+    field_from_wire,
+    from_wire,
+    identity_embedding,
+)
+from skewloci.linalg import PAIRS, det
 from skewloci.nets import Net
 
 SCHEMA = load_schema()
@@ -386,6 +393,26 @@ def test_large_prime_field_answers(capsys):
     report = check_report(out)
     p = 2**61 - 1
     assert report["result"]["pfaffian"] == 3 * pow(7, -1, p) % p
+
+
+@pytest.mark.parametrize("field", ["F101", "Q"])
+@pytest.mark.parametrize("order", [18, 40])
+def test_dense_pfaffians_of_large_order_answer(capsys, field, order):
+    """The Pfaffian costs a cube of the order, so dense requests far past
+    the (n - 1)!! matchings of the expansion answer, exactly."""
+    rng = random.Random(order)
+    upper = {(i, j): rng.randint(-9, 9) for i in range(order) for j in range(i + 1, order)}
+    matrix = [[upper[i, j] if i < j else -upper[j, i] if j < i else 0 for j in range(order)]
+              for i in range(order)]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "pfaffian", json.dumps({"field": field, "matrix": matrix}))
+    assert time.perf_counter() - t0 < 2
+    assert code == 0, err
+    result = check_report(out)["result"]
+    F = field_from_wire(field)
+    pf = from_wire(F, result["pfaffian"])
+    assert result["order"] == order
+    assert pf * pf == det(F, [[F(x) for x in row] for row in matrix])
 
 
 def test_json_out_matches_stdout(capsys, tmp_path):

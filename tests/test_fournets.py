@@ -11,10 +11,10 @@ from skewloci.cubic import (
     add_points,
     class_add,
     class_eq,
-    class_neg,
     class_of,
     halvings,
     hyperplane_class,
+    neg_point,
     third_point,
     two_torsion,
 )
@@ -26,12 +26,18 @@ from skewloci.errors import (
 from skewloci.fields import QQ, PrimeField
 from skewloci.fournets import (
     _halving_target,
+    _scroll_sample,
     companion_nets,
     gamma_k,
     series_identities,
 )
-from skewloci.nets import Net, directrix_planes, net_pfaffian_cubic, net_type
-from skewloci.polys import MPoly
+from skewloci.nets import Net, directrix_planes, net_pfaffian_cubic, net_type, scroll_fiber
+from skewloci.polys import MPoly, points_by_lines
+from skewloci.projective import subspace_points
+
+
+def class_neg(a):
+    return DivisorClass(a.curve, -a.degree, neg_point(a.curve, a.rep))
 
 
 def _pairs_vec(**kw):
@@ -323,3 +329,25 @@ def test_companion_rejects_unsupported_fields():
 def test_series_rejects_singular_cubic():
     with pytest.raises(PreconditionError, match="smooth"):
         series_identities(_block_net(PrimeField(23)))
+
+
+def _scroll_sample_oracle(net, count):
+    """The eager walk: the cubic's whole point list first, then the fibres."""
+    out = []
+    for lam in net_pfaffian_cubic(net).rational_points():
+        for pt in subspace_points(scroll_fiber(net, list(lam))):
+            out.append(pt)
+            if len(out) >= count:
+                return out
+    return out
+
+
+@pytest.mark.parametrize("count", [50, 250])
+def test_scroll_sample_walks_the_cubic_lazily(count):
+    F = PrimeField(101)
+    net = _random_net(F, 3)
+    got = _scroll_sample(net, count)
+    assert got == _scroll_sample_oracle(_random_net(F, 3), count)
+    C = net_pfaffian_cubic(net)
+    assert C._points is None
+    assert len(C._sweep[0]) < len(list(points_by_lines(C.as_mpoly())))

@@ -7,11 +7,12 @@ root scan of small fields, the skew form value and plane pair covectors of
 nets, the combinations of a morphism's matrices with their kernel (fiber)
 and x_membership,
 projective's random_vector and pluecker_relations, the cubic's chords
-(third_point) and halvings (_halve), and the flat 6x6 Pfaffian unwrap their
-inputs once and loop on raw values.
+(third_point) and halvings (_halve), and the numeric Pfaffian (_pfaffian_raw,
+skew elimination) unwrap their inputs once and loop on raw values.
 The four vector kernels of PrimeField (_dot, _axpy, _scale, _zeros) are
 checked against Field's generic loops, raw-coefficient Poly against the
-element-loop Poly, and the flat Pfaffian form against the recursion.
+element-loop Poly, and the numeric Pfaffian and the flat Pfaffian forms
+against the first-row recursion (pfaffian_oracle).
 The oracles below are the element-by-element loops they replaced, kept here
 as the reference: every result must agree exactly, over prime fields,
 extensions and Q.
@@ -27,6 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewloci import cubic as cubic_module
+from skewloci import linalg as linalg_module
 from skewloci import nets as nets_module
 from skewloci import selftest
 from skewloci.complexes import GenericMorphism, pfaffian_form
@@ -62,13 +64,12 @@ from skewloci.linalg import (
     kernel,
     mat_mul,
     mat_vec,
-    pfaffian,
     pfaffian_field,
     rank,
     rref,
     skew_from_pairs,
     solve,
-    sub_pfaffians_6,
+    transpose,
 )
 from skewloci.fournets import _halving_target
 from skewloci.nets import (
@@ -297,7 +298,7 @@ def _combination_oracle(phi, lam):
 
 def _pfaffian_args(phi):
     """The combination matrix with linear-form entries in phi.m variables,
-    with the zero and one it is reduced over: pfaffian's arguments."""
+    with the zero and one it is reduced over: pfaffian_oracle's arguments."""
     field, m, size = phi.field, phi.m, phi.n + 1
     zero = MPoly.zero(field, m)
     entries = [[zero] * size for _ in range(size)]
@@ -308,6 +309,39 @@ def _pfaffian_args(phi):
                 if not M[i][j].is_zero():
                     entries[i][j] = entries[i][j] + MPoly(field, m, {exps: M[i][j]})
     return entries, zero, MPoly.constant(field, m, field.one)
+
+
+def pfaffian_oracle(A, zero, one):
+    """Pfaffian of an even-size skew matrix over any commutative ring (field
+    elements or MPoly entries), by first-row expansion: the term for column
+    j carries sign (-1)^(j-1).  It visits every matching, so it serves small
+    orders only."""
+
+    def rec(idx):
+        if not idx:
+            return one
+        i0, rest = idx[0], idx[1:]
+        total = zero
+        for pos, j in enumerate(rest):
+            a = A[i0][j]
+            if a.is_zero():
+                continue
+            term = a * rec(rest[:pos] + rest[pos + 1:])
+            total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    return rec(tuple(range(len(A))))
+
+
+def sub_pfaffians_6_oracle(A, zero, one):
+    """The 15 sub-Pfaffians of a 6x6 skew matrix by the recursion: for the
+    pair (i, j), (-1)^(i+j) Pf of A without rows and columns i and j."""
+    out = []
+    for i, j in PAIRS:
+        idx = [k for k in range(6) if k not in (i, j)]
+        val = pfaffian_oracle([[A[r][c] for c in idx] for r in idx], zero, one)
+        out.append(val if (i + j) % 2 == 0 else -val)
+    return out
 
 
 def _scan_roots_oracle(f):
@@ -834,10 +868,71 @@ def test_third_point_refusals_match_the_oracle():
 def test_flat_pfaffian_matches_pfaffian_field(field, wedges, data):
     """Random skew matrices, and sums of one or two wedges (Pfaffian 0)."""
     A = _skew_matrix(data.draw, field, 6, wedges)
-    want = pfaffian_field(field, A)
+    want = pfaffian_oracle(A, field.zero, field.one)
     assert _pfaffian_raw(field, [field._unwrap(row) for row in A]) == want.v
     if wedges is not None:
         assert want.is_zero()
+
+
+PFAFFIAN_FIELDS = (PrimeField(3), PrimeField(7), PrimeField(101),
+                   extend_field(PrimeField(7), 2)[0], QQ)
+
+
+@st.composite
+def _pfaffian_case(draw):
+    """A skew matrix of even order 0-10: dense, a wedge sum of rank below
+    the order, a zero first row, or A[0][1] = 0 with a later nonzero A[0][j],
+    which makes the elimination swap."""
+    field = draw(st.sampled_from(PFAFFIAN_FIELDS))
+    n = 2 * draw(st.integers(0, 5))
+    shape = draw(st.sampled_from(("dense", "wedges", "zero row", "swap")))
+    wedges = max(1, n // 2 - 1) if shape == "wedges" else None
+    A = _skew_matrix(draw, field, n, wedges)
+    if n and shape == "zero row":
+        for k in range(n):
+            A[0][k] = A[k][0] = field.zero
+    if n >= 4 and shape == "swap":
+        j = draw(st.integers(2, n - 1))
+        c = draw(st.sampled_from((field.one, -field.one, field(2))))
+        A[0][1] = A[1][0] = field.zero
+        A[0][j], A[j][0] = c, -c
+    return field, shape, A
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_pfaffian_case())
+def test_skew_elimination_matches_the_recursion(case):
+    field, shape, A = case
+    raw = [field._unwrap(row) for row in A]
+    before = [list(row) for row in raw]
+    want = pfaffian_oracle(A, field.zero, field.one)
+    assert _pfaffian_raw(field, raw) == want.v
+    assert raw == before
+    assert pfaffian_field(field, A) == want
+    if (shape == "zero row" and A) or (shape == "wedges" and len(A) >= 4):
+        assert want.is_zero()
+
+
+def _symplectic(field, n):
+    """J = the sum of the blocks [[0, 1], [-1, 0]] on the diagonal: Pf(J) = 1."""
+    J = [[field.zero] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        J[k][k + 1], J[k + 1][k] = field.one, -field.one
+    return J
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.sampled_from((PrimeField(101), QQ)), st.integers(0, 20), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_pfaffian_of_a_symplectic_congruence_is_the_determinant(field, half, singular, rng):
+    """Pf(B^T J B) = det(B) Pf(J) = det(B), exactly, at orders the recursion
+    cannot reach (up to 40)."""
+    n = 2 * half
+    B = [[field(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if singular and n >= 2:
+        B[-1] = list(B[0])
+    M = mat_mul(transpose(B), mat_mul(_symplectic(field, n), B)) if n else []
+    assert _pfaffian_raw(field, [field._unwrap(row) for row in M]) == det(field, B).v
 
 
 # ---------------------------------------------------------------------------
@@ -913,9 +1008,9 @@ def test_flat_pfaffian_forms_match_the_recursion(field, cls, wedges, data):
         phi = cls(field, *mats)
     except PreconditionError:  # dependent matrices
         return
-    assert pfaffian_form(phi) == pfaffian(*_pfaffian_args(phi))
+    assert pfaffian_form(phi) == pfaffian_oracle(*_pfaffian_args(phi))
     if cls is Net:
-        assert sub_pfaffian_forms(phi) == tuple(sub_pfaffians_6(*_pfaffian_args(phi)))
+        assert sub_pfaffian_forms(phi) == tuple(sub_pfaffians_6_oracle(*_pfaffian_args(phi)))
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -926,7 +1021,7 @@ def test_pfaffian_form_of_other_even_sizes_matches_the_recursion(field, shape, d
         phi = GenericMorphism(field, [_skew_matrix(data.draw, field, size, None) for _ in range(m)])
     except PreconditionError:  # dependent matrices
         return
-    assert pfaffian_form(phi) == pfaffian(*_pfaffian_args(phi))
+    assert pfaffian_form(phi) == pfaffian_oracle(*_pfaffian_args(phi))
 
 
 def test_pfaffian_form_refuses_odd_sizes():
@@ -960,6 +1055,45 @@ def test_rref_divmod_and_roots_make_no_scalar_products(monkeypatch):
     q, r = divmod(f, g)
     assert q.degree == 4 and r.degree <= 2
     assert [(x.v, m) for x, m in roots(h).pairs] == [(0, 3), (2, 2), (5, 1)]
+
+
+def test_the_numeric_pfaffians_are_the_skew_elimination(monkeypatch):
+    """pfaffian_field, sub_pfaffians_6_field and the scroll count all call
+    _pfaffian_raw; nets binds the name at import, so it is patched there too."""
+    def refuse(field, A):
+        raise AssertionError("_pfaffian_raw")
+
+    F = PrimeField(7)
+    A = skew_from_pairs(F, range(1, 16))
+    net = selftest.seeded_net(F, 0)
+    monkeypatch.setattr(linalg_module, "_pfaffian_raw", refuse)
+    monkeypatch.setattr(nets_module, "_pfaffian_raw", refuse)
+    for call in (lambda: pfaffian_field(F, A), lambda: linalg_module.sub_pfaffians_6_field(F, A),
+                 lambda: count_scroll_points(net)):
+        with pytest.raises(AssertionError, match="_pfaffian_raw"):
+            call()
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_a_split_squarefree_scan_divides_nothing(p, monkeypatch):
+    """deg f distinct roots of the scan are simple, so no x - a is divided
+    out; fewer roots still get their multiplicities by division."""
+    F = PrimeField(p)
+
+    def product(*zs):
+        f = Poly(F, [1])
+        for a in zs:
+            f = f * Poly(F, [-a, 1])
+        return f
+
+    with monkeypatch.context() as m:
+        def refuse(self, other):
+            raise AssertionError("Poly.__divmod__")
+
+        m.setattr(Poly, "__divmod__", refuse)
+        assert [(x.v, k) for x, k in roots(product(1, 2, 4)).pairs] == [(1, 1), (2, 1), (4, 1)]
+    assert [(x.v, k) for x, k in roots(product(1, 1, 2)).pairs] == [(1, 2), (2, 1)]
+    assert [(x.v, k) for x, k in roots(product(3, 3, 3)).pairs] == [(3, 3)]
 
 
 # ---------------------------------------------------------------------------
