@@ -99,10 +99,12 @@ def run_pfaffian(field, doc, args):
     from .linalg import pfaffian_field, rank
 
     M = _decode_matrix(field, doc)
+    pf = pfaffian_field(field, M)
+    # det = Pf^2, so a nonzero Pfaffian is full rank; eliminate only when Pf = 0
     return {
         "order": len(M),
-        "pfaffian": to_wire(pfaffian_field(field, M)),
-        "rank": rank(field, M),
+        "pfaffian": to_wire(pf),
+        "rank": rank(field, M) if pf.is_zero() else len(M),
     }
 
 
@@ -113,7 +115,7 @@ def run_classify(field, doc, args):
     cls = cx.complex_class()
     return {
         "kind": cls.kind,
-        "rank": cx.rank(),
+        "rank": 6 - cls.singular_space.dim,
         "pfaffian": to_wire(cls.pf),
         "singular_space": serialize_space(cls.singular_space),
     }

@@ -117,12 +117,12 @@ class LinearComplex:
         return self._kernel
 
     def complex_class(self) -> "ComplexClass":
-        kind = self.classify()
-        if kind == GENERAL:
-            singular = Subspace.zero(self.field, 6)
-        else:
-            singular = self.kernel_space()
-        return ComplexClass(kind, singular, self.pf())
+        """The kind, singular space and Pfaffian.  det = Pf^2, so a nonzero
+        Pfaffian is rank 6 and no kernel is computed; otherwise classify."""
+        pf = self.pf()
+        if not pf.is_zero():
+            return ComplexClass(GENERAL, Subspace.zero(self.field, 6), pf)
+        return ComplexClass(self.classify(), self.kernel_space(), pf)
 
     def map(self, emb) -> "LinearComplex":
         """Extend scalars along a field embedding."""

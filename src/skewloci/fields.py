@@ -225,25 +225,19 @@ class Field:
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    # whole-vector kernels: one call per vector, so that PrimeField can run
-    # them on native ints; here they are the loops on _add and _mul
+    # whole-vector kernels: one call per vector, and each field runs them on
+    # its own representation with one normalization per output value
     def _dot(self, a, b):
         """The raw sum of a_i * b_i."""
-        add, mul = self._add, self._mul
-        acc = self.zero.v
-        for x, y in zip(a, b):
-            acc = add(acc, mul(x, y))
-        return acc
+        raise NotImplementedError
 
     def _axpy(self, xs, f, ys):
         """The raw list x_i + f * y_i."""
-        add, mul = self._add, self._mul
-        return [add(x, mul(f, y)) for x, y in zip(xs, ys)]
+        raise NotImplementedError
 
     def _scale(self, xs, s):
         """The raw list x_i * s."""
-        mul = self._mul
-        return [mul(x, s) for x in xs]
+        raise NotImplementedError
 
     def _zeros(self, coeffs):
         """The raw x, in elements() order, where the polynomial with raw
@@ -296,6 +290,36 @@ class Rationals(Field):
 
     def _is_zero(self, a) -> bool:
         return a == 0
+
+    # the vector kernels on numerators and denominators: one Fraction, so
+    # one gcd, per output value; zero terms are skipped
+    def _dot(self, a, b):
+        num, den = 0, 1
+        for x, y in zip(a, b):
+            if x and y:
+                n, d = x.numerator * y.numerator, x.denominator * y.denominator
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+        return Fraction(num, den)
+
+    def _axpy(self, xs, f, ys):
+        fn, fd = f.numerator, f.denominator
+        out = []
+        for x, y in zip(xs, ys):
+            if y:
+                xd, d = x.denominator, y.denominator * fd
+                if xd == d == 1:
+                    x = Fraction(x.numerator + fn * y.numerator)
+                else:
+                    x = Fraction(x.numerator * d + fn * y.numerator * xd, xd * d)
+            out.append(x)
+        return out
+
+    def _scale(self, xs, s):
+        sn, sd = s.numerator, s.denominator
+        return [Fraction(x.numerator * sn, x.denominator * sd) if x else x for x in xs]
 
     def sort_key(self, v):
         return (float(v), v.numerator, v.denominator)
@@ -565,6 +589,44 @@ class ExtField(Field):
 
     def _is_zero(self, a) -> bool:
         return not any(a)
+
+    # the vector kernels on unreduced coefficients, one % p per output
+    # coefficient: a product by a fixed f is f's k x k matrix over F_p, and a
+    # dot product sums convolutions and folds x^k .. x^(2k-2) with _red once
+    def _times(self, f):
+        """The unreduced rows of the matrix whose column j is f x^j mod m."""
+        red, col = self._red[0], list(f)
+        cols = [col]
+        for _ in range(self.degree - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [c + top * r for c, r in zip(col, red)]
+            cols.append(col)
+        return list(zip(*cols))
+
+    def _dot(self, a, b):
+        p, k = self.char, self.degree
+        acc = [0] * (2 * k - 1)
+        for x, y in zip(a, b):
+            for i, c in enumerate(x):
+                if c:
+                    for j, d in enumerate(y):
+                        acc[i + j] += c * d
+        out = acc[:k]
+        for c, row in zip(acc[k:], self._red):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        return tuple([o % p for o in out])
+
+    def _axpy(self, xs, f, ys):
+        p, rows, mul = self.char, self._times(f), operator.mul
+        return [tuple([(c + sum(map(mul, row, y))) % p for c, row in zip(x, rows)])
+                for x, y in zip(xs, ys)]
+
+    def _scale(self, xs, s):
+        p, rows, mul = self.char, self._times(s), operator.mul
+        return [tuple([sum(map(mul, row, x)) % p for row in rows]) for x in xs]
 
     def sort_key(self, v):
         return tuple(reversed(v))

@@ -7,14 +7,15 @@ kernels have canonical bases and can be compared entrywise.
 The scalar kernels (rref and the routines built on it, det, mat_vec,
 mat_mul) read the entries' raw values once with Field._unwrap, which refuses
 an entry of another field, run on whole raw rows through the field's vector
-kernels (_dot for products, _scale and _axpy for row operations; PrimeField
-runs them on native ints with one reduction per output), and build
+kernels (_dot for products, _scale and _axpy for row operations; each field
+runs its own, with one normalization per output value), and build
 FieldElements once for the result (_rref_raw and _kernel_raw serve callers
 that already hold raw rows).
 
-The one numeric Pfaffian, _pfaffian_raw, is skew elimination on raw rows of
-any even order, cubic in the order; pfaffian_field and sub_pfaffians_6_field
-check their input and call it.  The symbolic one is complexes._matching_form.
+The one numeric Pfaffian, _pfaffian_raw, is skew elimination on the upper
+parts of raw rows of any even order, cubic in the order; pfaffian_field and
+sub_pfaffians_6_field check their input and call it.  The symbolic one is
+complexes._matching_form.
 """
 
 from __future__ import annotations
@@ -147,25 +148,30 @@ def _pfaffian_raw(field, A):
     """Pfaffian of the raw even-order skew rows A, by skew elimination.
 
     With a = A[0][1], Pf(A) = a * Pf(S) for the skew Schur complement
-    S[i][l] = A[i][l] + (A[i][0] A[1][l] - A[i][1] A[0][l]) / a, i, l >= 2,
-    each row of S two _axpy calls.  If A[0][1] is zero, index 1 is first
-    swapped with the first j that has A[0][j] != 0 in rows and columns,
-    which flips the sign; a zero first row gives 0.  A is not mutated.
+    S[i][l] = A[i][l] + (A[i][0] A[1][l] - A[i][1] A[0][l]) / a, i, l >= 2.
+    Only the upper parts U[i] = A[i][i+1:] are built, the rest read as their
+    negatives: each row of S is two _axpy calls.  If A[0][1] is zero, index
+    1 is first swapped with the first j that has A[0][j] != 0 in rows and
+    columns, which flips the sign; a zero first row gives 0.  A is not mutated.
     """
     axpy, mul, neg, inv, is_zero = field._axpy, field._mul, field._neg, field._inv, field._is_zero
     acc = field.one.v
-    while A:
-        top = A[0]
-        if is_zero(top[1]):
-            j = next((j for j in range(2, len(A)) if not is_zero(top[j])), None)
+    U = [row[i + 1:] for i, row in enumerate(A)]
+    while len(U) > 1:
+        top = U[0]
+        if is_zero(top[0]):
+            j = next((j for j in range(1, len(top)) if not is_zero(top[j])), None)
             if j is None:
                 return field.zero.v
-            perm = [0, j, *range(2, j), 1, *range(j + 1, len(A))]
-            A = [[A[r][c] for c in perm] for r in perm]
-            top, acc = A[0], neg(acc)
-        acc, s = mul(acc, top[1]), inv(top[1])
-        t, piv, top = neg(s), A[1][2:], top[2:]
-        A = [axpy(axpy(row[2:], mul(row[0], s), piv), mul(row[1], t), top) for row in A[2:]]
+            perm = [0, j + 1, *range(2, j + 1), 1, *range(j + 2, len(U))]
+            U = [[U[r][c - r - 1] if r < c else neg(U[c][r - c - 1])
+                  for c in perm[i + 1:]] for i, r in enumerate(perm)]
+            top, acc = U[0], neg(acc)
+        acc, s = mul(acc, top[0]), inv(top[0])
+        t, piv = neg(s), U[1]
+        # the last row has nothing right of the diagonal, so it stays []
+        U = [axpy(axpy(row, mul(top[i], t), piv[i:]), mul(piv[i - 1], s), top[i + 1:])
+             for i, row in enumerate(U[2:-1], 1)] + U[-1:]
     return acc
 
 

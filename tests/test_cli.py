@@ -116,6 +116,68 @@ def test_classify_rank_four(capsys):
     ]
 
 
+# a rank-6 form over F101 and Q, and forms with Pf = 0: rank 4, rank 2, zero
+GENERAL_PAIRS = [1, 2, 0, 3, "1/2", 0, 5, 7, 1, 0, 4, 0, 2, 9, 3]
+DEGENERATE_PAIRS = {
+    4: [1, 0, 0, 0, 0, 0, 0, 0, 0, "-3/4", 0, 0, 0, 0, 0],
+    2: [1] + [0] * 14,
+    0: [0] * 15,
+}
+
+
+@pytest.mark.parametrize("field", ["F101", "QQ"])
+def test_a_nonzero_pfaffian_is_full_rank_without_elimination(capsys, monkeypatch, field):
+    """det = Pf^2: pfaffian reports rank 6 and complex classify the general
+    kind with an empty singular space, and neither eliminates."""
+    from skewloci import linalg, projective
+
+    def refuse(*args):
+        raise AssertionError("eliminated a form with a nonzero Pfaffian")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+    monkeypatch.setattr(projective.Subspace, "from_kernel_of", classmethod(refuse))
+    doc = json.dumps({"field": field, "pairs": GENERAL_PAIRS})
+    code, out, err = run_cli(capsys, "pfaffian", doc)
+    assert code == 0, err
+    result = check_report(out)["result"]
+    assert result["rank"] == 6 and result["pfaffian"] not in (0, "0")
+    pf = result["pfaffian"]
+    code, out, err = run_cli(capsys, "complex", "classify", doc)
+    assert code == 0, err
+    assert check_report(out)["result"] == {
+        "kind": "general", "pfaffian": pf, "rank": 6,
+        "singular_space": {"basis": [], "proj_dim": -1},
+    }
+
+
+@pytest.mark.parametrize("field", ["F101", "QQ"])
+@pytest.mark.parametrize("rank", [4, 2, 0])
+def test_a_zero_pfaffian_still_eliminates(capsys, field, rank):
+    """Pf = 0 reads the rank and the singular space off the kernel, as before."""
+    zero = 0 if field == "F101" else "0"
+    doc = json.dumps({"field": field, "pairs": DEGENERATE_PAIRS[rank]})
+    code, out, err = run_cli(capsys, "pfaffian", doc)
+    assert code == 0, err
+    assert check_report(out)["result"] == {"order": 6, "pfaffian": zero, "rank": rank}
+    code, out, err = run_cli(capsys, "complex", "classify", doc)
+    if rank == 0:
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {
+            "message": "zero form does not define a complex", "type": "DegenerateInputError"}
+        return
+    assert code == 0, err
+    result = check_report(out)["result"]
+    kernel = [4, 5] if rank == 4 else [2, 3, 4, 5]
+    basis = [[1 if c == k else 0 for c in range(6)] for k in kernel]
+    if field == "QQ":
+        basis = [[str(x) for x in row] for row in basis]
+    assert result == {
+        "kind": "special-first-type" if rank == 4 else "special-second-type",
+        "pfaffian": zero, "rank": rank,
+        "singular_space": {"basis": basis, "proj_dim": len(kernel) - 1},
+    }
+
+
 def test_pencil_block_corpus(capsys):
     """The shipped block pencil lands in the pairwise skew spanning case."""
     code, out, _ = run_cli(capsys, "pencil", "analyze",

@@ -9,10 +9,12 @@ and x_membership,
 projective's random_vector and pluecker_relations, the cubic's chords
 (third_point) and halvings (_halve), and the numeric Pfaffian (_pfaffian_raw,
 skew elimination) unwrap their inputs once and loop on raw values.
-The four vector kernels of PrimeField (_dot, _axpy, _scale, _zeros) are
-checked against Field's generic loops, raw-coefficient Poly against the
-element-loop Poly, and the numeric Pfaffian and the flat Pfaffian forms
-against the first-row recursion (pfaffian_oracle).
+The vector kernels of every field (_dot, _axpy, _scale; PrimeField's
+_zeros too) are checked against the generic loops on the scalar _add and
+_mul that they replaced (_dot_oracle, _axpy_oracle, _scale_oracle),
+raw-coefficient Poly against the element-loop Poly, and the numeric
+Pfaffian and the flat Pfaffian forms against the first-row recursion
+(pfaffian_oracle).
 The oracles below are the element-by-element loops they replaced, kept here
 as the reference: every result must agree exactly, over prime fields,
 extensions and Q.
@@ -44,6 +46,7 @@ from skewloci.errors import InconsistencyError, PreconditionError
 from skewloci.fields import (
     PRIME_BOUND,
     QQ,
+    ExtField,
     Field,
     Poly,
     PrimeField,
@@ -52,6 +55,7 @@ from skewloci.fields import (
     _scan_roots,
     extend_field,
     identity_embedding,
+    is_irreducible,
     poly_gcd,
     roots,
 )
@@ -936,14 +940,38 @@ def test_pfaffian_of_a_symplectic_congruence_is_the_determinant(field, half, sin
 
 
 # ---------------------------------------------------------------------------
-# the whole-vector kernels: PrimeField's native ints against Field's loops
+# the whole-vector kernels of each field against the generic loops
+
+
+def _dot_oracle(field, a, b):
+    """The raw sum of a_i * b_i, one scalar _add and _mul per term."""
+    acc = field.zero.v
+    for x, y in zip(a, b):
+        acc = field._add(acc, field._mul(x, y))
+    return acc
+
+
+def _axpy_oracle(field, xs, f, ys):
+    return [field._add(x, field._mul(f, y)) for x, y in zip(xs, ys)]
+
+
+def _scale_oracle(field, xs, s):
+    return [field._mul(x, s) for x in xs]
+
+
+def _assert_kernels_match_the_oracles(field, xs, ys, f):
+    assert field._dot(xs, ys) == _dot_oracle(field, xs, ys)
+    assert field._axpy(xs, f, ys) == _axpy_oracle(field, xs, f, ys)
+    assert field._scale(xs, f) == _scale_oracle(field, xs, f)
+
 
 NEAR_BOUND = next(n for n in range(PRIME_BOUND - 2, 0, -2) if _is_probable_prime(n))
 
 
 def _residue(draw, p):
     """0 and p - 1 a third of the time each, else any residue."""
-    return draw(st.sampled_from((0, p - 1, None))) or draw(st.integers(0, p - 1))
+    pick = draw(st.sampled_from((0, p - 1, None)))
+    return draw(st.integers(0, p - 1)) if pick is None else pick
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -953,13 +981,79 @@ def test_prime_field_kernels_match_the_generic_loops(p, data):
     n = data.draw(st.integers(0, 8))
     xs, ys = ([_residue(data.draw, p) for _ in range(n)] for _ in range(2))
     f = _residue(data.draw, p)
-    assert F._dot(xs, ys) == Field._dot(F, xs, ys)
-    assert F._axpy(xs, f, ys) == Field._axpy(F, xs, f, ys)
-    assert F._scale(xs, f) == Field._scale(F, xs, f)
+    assert F._dot(xs, ys) == _dot_oracle(F, xs, ys)
+    assert F._axpy(xs, f, ys) == _axpy_oracle(F, xs, f, ys)
+    assert F._scale(xs, f) == _scale_oracle(F, xs, f)
     if p <= 251:
         coeffs = [_residue(data.draw, p) for _ in range(data.draw(st.integers(0, 6)))]
         coeffs.append(data.draw(st.integers(1, p - 1)))
         assert F._zeros(coeffs) == Field._zeros(F, coeffs)
+
+
+def _rational(draw):
+    """0 a fifth of the time, else a signed numerator over a denominator up
+    to 10^6, often 1."""
+    if draw(st.integers(0, 4)) == 0:
+        return Fraction(0)
+    den = draw(st.sampled_from((1, None))) or draw(st.integers(1, 10**6))
+    return Fraction(draw(st.integers(-10**6, 10**6)), den)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_rational_kernels_match_the_generic_loops(data):
+    n = data.draw(st.integers(0, 8))
+    xs, ys = ([_rational(data.draw) for _ in range(n)] for _ in range(2))
+    f = _rational(data.draw)
+    _assert_kernels_match_the_oracles(QQ, xs, ys, f)
+    assert all(type(x) is Fraction for x in QQ._axpy(xs, f, ys) + QQ._scale(xs, f))
+    assert type(QQ._dot(xs, ys)) is Fraction
+
+
+def _dense_modulus_field(p, k):
+    """F_p[x]/(m) for the first irreducible monic m of degree k, in
+    lexicographic order, whose lower coefficients are all nonzero."""
+    for low in itertools.product(range(1, p), repeat=k):
+        if is_irreducible(Poly(PrimeField(p), list(low) + [1])):
+            return ExtField(p, low + (1,))
+    raise AssertionError("no irreducible modulus without zero coefficients")
+
+
+EXT_FIELDS = tuple(F for p in (3, 7, 101) for k in (2, 3, 4)
+                   for F in (extend_field(PrimeField(p), k)[0], _dense_modulus_field(p, k)))
+
+
+def _ext_value(draw, field):
+    """Coefficients 0 and p - 1 a third of the time each, else any residue."""
+    return tuple(_residue(draw, field.char) for _ in range(field.degree))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(EXT_FIELDS), st.data())
+def test_extension_kernels_match_the_generic_loops(field, data):
+    n = data.draw(st.integers(0, 8))
+    xs, ys = ([_ext_value(data.draw, field) for _ in range(n)] for _ in range(2))
+    f = data.draw(st.sampled_from((field.zero.v, field.one.v, None))) or _ext_value(data.draw, field)
+    _assert_kernels_match_the_oracles(field, xs, ys, f)
+
+
+def _concrete_fields(cls=Field):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_fields(sub)
+
+
+def test_every_field_defines_its_own_vector_kernels():
+    """Field only declares _dot, _axpy and _scale; no subclass inherits them."""
+    subs = list(_concrete_fields())
+    assert {cls.__name__ for cls in subs} >= {"Rationals", "PrimeField", "ExtField"}
+    missing = [f"{cls.__name__}.{name}" for cls in subs for name in ("_dot", "_axpy", "_scale")
+               if name not in vars(cls)]
+    assert not missing
+    F = Field()
+    for call in (lambda: F._dot([], []), lambda: F._axpy([], 0, []), lambda: F._scale([], 0)):
+        with pytest.raises(NotImplementedError):
+            call()
 
 
 def _pow_mod_oracle(f, n, mod):
