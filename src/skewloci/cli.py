@@ -10,9 +10,12 @@ configurations produce byte-identical reports.  Exit codes: 0 success,
 Each command is declared once, in the ``_COMMANDS`` table: its argv words
 and their help, the schema definition of its input document, and its
 handler.  The parser, the input-schema lookup and the dispatch all read
-that table.  The parser and one validator per schema definition are built
-on the first ``main`` call and reused for the rest of the process; nothing
-is built at import.
+that table.
+
+A request is accepted by one predicate per schema definition, compiled by
+``_compile``, which refuses any keyword it does not know; jsonschema is
+imported, and its validator built, only to word a refusal.  The parser and
+each predicate are built on first use and reused; nothing is built at import.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
+import operator
+import re
 import sys
 from importlib import resources
 from typing import Callable, NamedTuple
-
-import jsonschema
 
 from . import __version__
 from .errors import InconsistencyError, PreconditionError
@@ -53,15 +57,92 @@ def _inline_refs(node, defs):
     return node
 
 
+def _definition(name: str) -> dict:
+    """One definition with its $refs inlined: the schema has no recursion and
+    no $ref with siblings, and errors record no $ref step."""
+    defs = load_schema()["$defs"]
+    return _inline_refs(defs[name], defs)
+
+
+# Draft 2020-12's types as jsonschema checks them: an integral float is an
+# integer, and a bool is neither an integer nor a number
+_TYPES = {
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)) or (
+        isinstance(x, float) and x.is_integer()),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "string": lambda x: isinstance(x, str), "array": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict), "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+}
+
+
+def _keyword_check(key, a, schema):
+    """The check of one keyword with argument a; as in jsonschema, it passes
+    every value outside the keyword's own type, and NaN is neither < nor >."""
+    if key == "type":
+        tests = [_TYPES[t] for t in ([a] if isinstance(a, str) else a)]
+        return tests[0] if len(tests) == 1 else lambda x: any(t(x) for t in tests)
+    if key == "enum" and all(m is None or isinstance(m, (str, int, float)) for m in a):
+        keys = [(isinstance(m, bool), m) for m in a]  # true is not 1
+        return lambda x: (isinstance(x, bool), x) in keys
+    if key == "properties":
+        subs = [(k, _compile(sub)) for k, sub in a.items()]
+        return lambda x: not isinstance(x, dict) or all(
+            k not in x or p(x[k]) for k, p in subs)
+    if key == "required":
+        return lambda x: not isinstance(x, dict) or all(k in x for k in a)
+    if key == "additionalProperties" and a is False:
+        known = frozenset(schema.get("properties", ()))
+        return lambda x: not isinstance(x, dict) or known.issuperset(x)
+    if key == "items" and isinstance(a, dict):
+        p = _compile(a)
+        return lambda x: not isinstance(x, list) or all(map(p, x))
+    if key in ("minItems", "maxItems"):
+        out = operator.lt if key == "minItems" else operator.gt
+        return lambda x: not (isinstance(x, list) and out(len(x), a))
+    if key in ("minimum", "maximum"):
+        out, number = operator.lt if key == "minimum" else operator.gt, _TYPES["number"]
+        return lambda x: not (number(x) and out(x, a))
+    if key == "pattern":
+        search = re.compile(a).search
+        return lambda x: not isinstance(x, str) or search(x) is not None
+    if key in ("anyOf", "oneOf"):
+        ps = [_compile(sub) for sub in a]
+        if key == "anyOf":
+            return lambda x: any(p(x) for p in ps)
+        return lambda x: [p(x) for p in ps].count(True) == 1
+    raise ValueError(f"cannot compile the keyword {key!r}: {a!r}")
+
+
+def _compile(schema):
+    """A predicate that holds exactly where jsonschema's Draft 2020-12 finds
+    no error.  It knows only the keywords the validated definitions use and
+    raises ValueError on any other keyword or form."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"cannot compile the schema {schema!r}")
+    checks = [_keyword_check(k, a, schema) for k, a in schema.items()
+              if k not in ("title", "description")]
+    if len(checks) == 1:
+        return checks[0]
+    return lambda x: all(c(x) for c in checks)
+
+
+@functools.cache
+def _predicate(definition_name: str):
+    return _compile(_definition(definition_name))
+
+
 @functools.cache
 def _validator(definition_name: str):
-    """One definition's validator, its $refs inlined: the schema has no
-    recursion and no $ref with siblings, and errors record no $ref step."""
-    defs = load_schema()["$defs"]
-    return jsonschema.Draft202012Validator(_inline_refs(defs[definition_name], defs))
+    """jsonschema's validator of one definition, built to word a refusal."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(_definition(definition_name))
 
 
 def _validate_or_messages(instance, definition_name: str) -> list:
+    if _predicate(definition_name)(instance):
+        return []
     return [
         f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
         for err in sorted(_validator(definition_name).iter_errors(instance), key=str)

@@ -62,13 +62,11 @@ class LinearComplex:
         M = [[field(x) for x in row] for row in matrix]
         if len(M) != 6 or any(len(r) != 6 for r in M):
             raise PreconditionError("expected a 6x6 matrix")
-        check_skew(field, M)
-        lead = next(
-            (M[i][j] for i, j in PAIRS if not M[i][j].is_zero()), None
-        )
-        if lead is not None and not (lead == field.one):
-            inv = lead.inverse()
-            M = [[x * inv for x in row] for row in M]
+        R = check_skew(field, M)
+        lead = next((R[i][j] for i, j in PAIRS if not field._is_zero(R[i][j])), None)
+        if lead is not None and lead != field.one.v:
+            inv = field._inv(lead)
+            M = [_wrap(field, field._scale(row, inv)) for row in R]
         self.field = field
         self.matrix = M
         self._kernel = None
@@ -160,10 +158,10 @@ class GenericMorphism:
     __slots__ = ("field", "n", "m", "matrices", "_raw", "_upper", "_fibers")
 
     def __init__(self, field, matrices):
-        mats = []
+        mats, raw = [], []
         for M in matrices:
             rows = [[field(x) for x in row] for row in M]
-            check_skew(field, rows)
+            raw.append(check_skew(field, rows))
             mats.append(rows)
         if not mats:
             raise PreconditionError("a morphism needs at least one matrix")
@@ -181,7 +179,7 @@ class GenericMorphism:
         if rank(field, flat) != self.m:
             raise PreconditionError("the skew matrices are linearly dependent")
         self.matrices = mats
-        self._raw = [[field._unwrap(row) for row in M] for M in mats]
+        self._raw = raw
         self._upper = [field._unwrap(row) for row in flat]
         self._fibers = {}
 

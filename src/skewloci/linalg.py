@@ -235,16 +235,20 @@ def solve(field, A, b):
 
 
 def check_skew(field, A):
+    """The raw rows of A, refused unless A is square and skew-symmetric."""
     n = len(A)
     for row in A:
         if len(row) != n:
             raise PreconditionError("matrix is not square")
+    R = [field._unwrap(row) for row in A]
+    minus_one = field._neg(field.one.v)
     for i in range(n):
-        for j in range(i, n):
-            if not (A[i][j] + A[j][i]).is_zero():
+        for j, x in enumerate(field._scale(R[i][i:], minus_one), i):
+            if R[j][i] != x:
                 raise PreconditionError(
                     f"matrix is not skew-symmetric at ({i},{j})"
                 )
+    return R
 
 
 def skew_from_pairs(field, coeffs):
@@ -264,10 +268,10 @@ def pairs_from_skew(A):
 
 
 def pfaffian_field(field, A):
-    check_skew(field, A)
+    R = check_skew(field, A)
     if len(A) % 2:
         raise PreconditionError("pfaffian needs even size")
-    return FieldElement(field, _pfaffian_raw(field, [field._unwrap(r) for r in A]))
+    return FieldElement(field, _pfaffian_raw(field, R))
 
 
 def sub_pfaffians_6_field(field, A):
@@ -277,10 +281,9 @@ def sub_pfaffians_6_field(field, A):
     with rows and columns i and j removed.  For a rank-4 matrix the resulting
     vector is proportional to the Pluecker vector of the 2-dimensional kernel.
     """
-    check_skew(field, A)
+    R = check_skew(field, A)
     if len(A) != 6:
         raise PreconditionError("expected a 6x6 matrix")
-    R = [field._unwrap(r) for r in A]
     out = []
     for i, j in PAIRS:
         idx = [k for k in range(6) if k not in (i, j)]

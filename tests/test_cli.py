@@ -4,8 +4,12 @@ import functools
 import hashlib
 import io
 import json
+import math
+import os
 import random
+import re
 import shlex
+import subprocess
 import sys
 import time
 from importlib import resources
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewloci import cli, polys, selftest
+from skewloci import __version__, cli, polys, selftest
 from skewloci.cli import load_schema, main
 from skewloci.errors import PreconditionError
 from skewloci.fields import (
@@ -782,7 +786,7 @@ def test_requests_answer_alike_in_any_order():
 
 
 def test_parser_and_validators_are_built_once(monkeypatch):
-    parsers, validators = [], []
+    parsers, compiled, validators = [], [], []
 
     real_init = argparse.ArgumentParser.__init__
 
@@ -791,6 +795,12 @@ def test_parser_and_validators_are_built_once(monkeypatch):
         if self.prog == "skewloci":  # the subparsers are "skewloci <group>"
             parsers.append(self)
 
+    real_compile = cli._compile
+
+    def counting_compile(schema):
+        compiled.append(json.dumps(schema, sort_keys=True))
+        return real_compile(schema)
+
     real_validator = jsonschema.Draft202012Validator
 
     def counting_validator(schema, *args, **kwargs):
@@ -798,18 +808,47 @@ def test_parser_and_validators_are_built_once(monkeypatch):
         return real_validator(schema, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "_compile", counting_compile)
     monkeypatch.setattr(jsonschema, "Draft202012Validator", counting_validator)
-    cli.build_parser.cache_clear()
-    cli._validator.cache_clear()
+    cached = (cli.build_parser, cli._predicate, cli._validator)
+    for f in cached:
+        f.cache_clear()
     try:
         for k in range(20):
             _run_quietly(_MIXED[k % len(_MIXED)])
     finally:
-        cli.build_parser.cache_clear()
-        cli._validator.cache_clear()
+        for f in cached:
+            f.cache_clear()
     assert len(parsers) == 1
-    # runConfig and pfaffianInput, each once
-    assert len(validators) == len(set(validators)) == 2
+    # runConfig and pfaffianInput each compile once; only runConfig refuses
+    # (--seed -1), so only its jsonschema validator is built, once
+    defs = {name: json.dumps(cli._definition(name), sort_keys=True)
+            for name in ("runConfig", "pfaffianInput")}
+    assert [compiled.count(d) for d in defs.values()] == [1, 1]
+    assert validators == [defs["runConfig"]]
+
+
+def test_a_valid_request_leaves_jsonschema_unimported():
+    src = Path(cli.__file__).parents[1]
+    code = (
+        "import contextlib, io, sys\n"
+        "from skewloci import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, 'jsonschema' in sys.modules)\n"
+    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120,
+        )
+
+    valid = run("degree", "--n", "5", "--m", "3")
+    assert (valid.stdout.split(), valid.stderr) == (["0", "False"], "")
+    refused = run("degree", "--n", "5", "--m", "3", "--seed", "-1")
+    assert refused.stdout.split() == ["2", "True"]
+    assert refused.stderr == "skewloci: config: seed: -1 is less than the minimum of 0\n"
 
 
 @functools.cache
@@ -894,6 +933,140 @@ def test_scalar_any_of_reports_as_one_of(case):
     assert cli._validate_or_messages(doc, name) == _messages(_one_of_scalar_validator(name), doc)
 
 
+# values at the edges of Draft 2020-12's types, ranges and patterns
+_EDGES = (
+    True, False, None, 3.0, 1.5, -0.0, math.nan, math.inf, -math.inf,
+    -1, 0, 150, 151, -150, -151, 100_000, 100_001, 2**64 - 1, 2**64, 2**80, -2**80,
+    "3\n", "F101\n", "\u0663", "F\u0661\u0660\u0661", "1/2", "-2", "", "pfaffian",
+    [3], [], [1.5], [True], {},
+)
+_GENS = [list(range(15)), list(range(1, 16)), list(range(2, 17))]
+# one document of each validated definition that validates
+_VALID = {
+    "runConfig": {
+        "command": "cohomology-table", "field": None, "seed": 7, "trials": None,
+        "input": None, "input_path": None, "json_out": None,
+        "n": 5, "m": 3, "from": -2, "to": 4,
+    },
+    "pfaffianInput": {"field": "F101", "pairs": _GENS[0], "matrix": [[0, 1], [-1, 0]]},
+    "pencilInput": {"field": "Q", "generators": _GENS[:2], "kind": "pencil"},
+    "netInput": {"field": "F7^2", "generators": _GENS, "seed": 3},
+}
+_DROP = object()
+
+
+def _paths(node, path=()):
+    """The path of node and of values inside it, and one path past the end
+    of each dict or list, where a value is added.  Every entry of a list has
+    one schema, so only the first and the last are entered."""
+    if isinstance(node, dict):
+        items, past = node.items(), "extra"
+    elif isinstance(node, list):
+        items, past = {0: node[0], len(node) - 1: node[-1]}.items() if node else (), len(node)
+    else:
+        return [path]
+    return [path, path + (past,)] + [q for k, v in items for q in _paths(v, path + (k,))]
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with value put at path, or, for _DROP, the value at path
+    removed."""
+    if not path:
+        return doc if value is _DROP else value
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    node = functools.reduce(lambda n, k: n[k], head, doc)
+    if value is _DROP:
+        if isinstance(node, dict) and last in node or isinstance(node, list) and last < len(node):
+            del node[last]
+    elif isinstance(node, list) and last == len(node):
+        node.append(value)
+    else:
+        node[last] = value
+    return doc
+
+
+def _agrees(name, doc):
+    """The predicate accepts exactly where _messages(_defs_validator(name), doc)
+    is empty, read as is_valid: a refusal's messages need not be worded."""
+    return cli._predicate(name)(doc) == _defs_validator(name).is_valid(doc)
+
+
+def test_the_predicate_agrees_on_each_edge_in_each_place():
+    for name, doc in _VALID.items():
+        assert cli._predicate(name)(doc) and _defs_validator(name).is_valid(doc)
+        for path in _paths(doc):
+            for value in _EDGES + (_DROP,):
+                assert _agrees(name, _mutated(doc, path, value)), (name, path, value)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A drawn or a valid document with up to three values set to an edge or a
+    drawn value, dropped or added."""
+    if draw(st.integers(0, 2)) == 0:
+        name, doc = draw(_schema_documents())
+    else:
+        name = draw(st.sampled_from(_VALIDATED))
+        doc = _VALID[name]
+    value = st.one_of(st.sampled_from(_EDGES + (_DROP,)), _JSON)
+    for _ in range(draw(st.integers(0, 3))):
+        doc = _mutated(doc, draw(st.sampled_from(_paths(doc))), draw(value))
+    return name, doc
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_mutated_documents())
+def test_the_predicate_accepts_exactly_what_jsonschema_accepts(case):
+    assert _agrees(*case)
+
+
+# schemas that use the compiled keywords in forms the definitions do not
+_SYNTHETIC = (
+    {"enum": [1, None, "a", 2.5]},
+    {"enum": [True, 0.0]},
+    {"enum": [0, False]},
+    {"type": ["number", "boolean"], "minimum": 0, "maximum": 3},
+    {"oneOf": [{"type": "integer"}, {"minimum": 0}]},
+    {"anyOf": [{"maximum": -1}, {"type": "string", "pattern": "^a"}]},
+    {"type": "object", "required": ["a"], "additionalProperties": False,
+     "properties": {"a": {"type": "array", "items": {"type": "integer"},
+                          "minItems": 1, "maxItems": 2}}},
+)
+
+
+def test_the_predicate_agrees_on_synthetic_schemas():
+    for schema in _SYNTHETIC:
+        accepts, oracle = cli._compile(schema), jsonschema.Draft202012Validator(schema)
+        for value in _EDGES + (1, 2.5, "a", "ba", {"a": [1]}, {"a": [1, 2, 3]}, {"a": []}):
+            assert accepts(value) == oracle.is_valid(value), (schema, value)
+
+
+# the keywords the compiler knows, annotations included
+_COMPILED = {
+    "type", "enum", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "maximum", "pattern", "oneOf", "anyOf",
+    "title", "description",
+}
+
+
+def test_the_compiler_fails_closed():
+    for name in _VALIDATED:
+        assert callable(cli._compile(cli._definition(name)))
+    unknown = set(jsonschema.Draft202012Validator.VALIDATORS) - _COMPILED
+    assert {"$ref", "if", "const", "format", "not", "prefixItems"} <= unknown
+    for key in sorted(unknown) + ["$comment", "$defs", "default"]:
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            cli._compile({"type": "object", "properties": {"a": {key: {}}}})
+    for form in ({"items": [{}]}, {"items": True}, {"additionalProperties": {}},
+                 {"additionalProperties": True}, {"enum": [[1]]}, {"enum": [{}]}):
+        (key,) = form
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            cli._compile({"items": form})
+    with pytest.raises(ValueError, match="True"):
+        cli._compile({"anyOf": [True]})
+
+
 _GOOD = [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
 _OTHER = [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0]
 _NOT_SCALAR = "is not valid under any of the given schemas"
@@ -933,6 +1106,38 @@ _USAGE_ERRORS = [
 @pytest.mark.parametrize("head, doc, errors", _USAGE_ERRORS)
 def test_usage_errors_keep_their_bytes(head, doc, errors):
     assert _run_quietly(head + [json.dumps(doc)]) == (2, "", f"skewloci: config: {errors}\n")
+
+
+def _pfaffian_report(doc, pf):
+    return json.dumps({
+        "command": "pfaffian", "field": "F101", "input": doc,
+        "result": {"order": 6, "pfaffian": pf, "rank": 6},
+        "seed": 0, "version": __version__,
+    }, indent=2, sort_keys=True) + "\n"
+
+
+_CANNOT_READ = (
+    '{\n  "error": {\n    "message": "cannot read 1.0 as a scalar over F101",\n'
+    '    "type": "PreconditionError"\n  }\n}\n'
+)
+
+
+@pytest.mark.parametrize("first, code, pf, err", [
+    (1.0, 3, None, _CANNOT_READ),       # an integral float is a schema integer
+    ("3\n", 0, 3, ""),                  # re.search's $ matches before the newline
+    (2**80, 0, 2**80 % 101, ""),
+    ("\u0663", 2, None, f"pairs/0: '\u0663' {_NOT_SCALAR}"),
+    (True, 2, None, f"pairs/0: True {_NOT_SCALAR}"),
+    (math.nan, 2, None, f"pairs/0: nan {_NOT_SCALAR}"),
+    (math.inf, 2, None, f"pairs/0: inf {_NOT_SCALAR}"),
+    (-math.inf, 2, None, f"pairs/0: -inf {_NOT_SCALAR}"),
+])
+def test_pfaffian_edge_scalars_keep_their_answers(first, code, pf, err):
+    doc = {"field": "F101", "pairs": [first] + _GOOD[1:]}
+    out = _pfaffian_report(doc, pf) if code == 0 else ""
+    if code == 2:
+        err = f"skewloci: config: {err}\n"
+    assert _run_quietly(["pfaffian", json.dumps(doc)]) == (code, out, err)
 
 
 @pytest.mark.parametrize("head, key", [

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from skewloci import complexes
 from skewloci.errors import DegenerateInputError, PreconditionError
-from skewloci.fields import PrimeField
-from skewloci.linalg import PAIRS, mat_mul, rank, transpose
+from skewloci.fields import QQ, PrimeField, extend_field
+from skewloci.linalg import PAIRS, mat_mul, pfaffian_field, rank, transpose
 from skewloci.complexes import (
     GENERAL,
     SPECIAL_FIRST,
@@ -217,3 +218,48 @@ def test_fiber_rank2_count_matches_the_element_scan(q, lines):
             except PreconditionError:
                 continue
         assert fiber_rank2_count(F, line) == sum(1 for _ in fiber_rank2_points(F, line))
+
+
+def _matrix(n, entries, cols=None):
+    """An n x cols matrix of ints, zero but for entries {(i, j): x}."""
+    return [[entries.get((i, j), 0) for j in range(cols or n)] for i in range(n)]
+
+
+_F101 = PrimeField(101)
+_SKEW = {(0, 1): 1, (1, 0): -1}
+
+
+@pytest.mark.parametrize("build, matrix, message", [
+    # coercion is refused first, then the shape, then the first non-skew (i,j)
+    (LinearComplex, _matrix(5, {(0, 1): Fraction(1, 101), (2, 3): 1}),
+     "1/101 has a denominator divisible by 101"),
+    (LinearComplex, _matrix(5, {(0, 1): 1}), "expected a 6x6 matrix"),
+    (LinearComplex, _matrix(6, {(0, 1): 1})[:5] + [[0] * 5], "expected a 6x6 matrix"),
+    (LinearComplex, _matrix(6, {(2, 3): 1, (4, 5): 1}), "matrix is not skew-symmetric at (2,3)"),
+    (LinearComplex, _matrix(6, {**_SKEW, (1, 1): 1, (4, 5): 1}),
+     "matrix is not skew-symmetric at (1,1)"),
+    (pfaffian_field, _matrix(3, {(0, 1): 1}, cols=2), "matrix is not square"),
+    (pfaffian_field, _matrix(3, {(1, 2): 1}), "matrix is not skew-symmetric at (1,2)"),
+    (pfaffian_field, _matrix(3, _SKEW), "pfaffian needs even size"),
+])
+def test_refusals_keep_their_order_and_words(build, matrix, message):
+    if build is pfaffian_field:
+        matrix = [[_F101(x) for x in row] for row in matrix]
+    with pytest.raises(PreconditionError) as exc:
+        build(_F101, matrix)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field", [_F101, QQ, extend_field(_F101, 3)[0]])
+def test_a_complex_is_scaled_by_its_first_nonzero_pair(field):
+    rng = random.Random(7)
+    for _ in range(20):
+        entries = {}
+        for i, j in PAIRS[rng.randrange(3):]:
+            x = field.random(rng)
+            entries[i, j], entries[j, i] = x, -x
+        M = _matrix(6, entries)
+        M = [[field(x) for x in row] for row in M]
+        lead = next((M[i][j] for i, j in PAIRS if not M[i][j].is_zero()), None)
+        inv = lead.inverse() if lead is not None else field.one
+        assert LinearComplex(field, M).matrix == [[x * inv for x in row] for row in M]
