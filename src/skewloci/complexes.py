@@ -62,13 +62,25 @@ class LinearComplex:
         M = [[field(x) for x in row] for row in matrix]
         if len(M) != 6 or any(len(r) != 6 for r in M):
             raise PreconditionError("expected a 6x6 matrix")
-        R = check_skew(field, M)
+        self._set(field, check_skew(field, M))
+
+    @classmethod
+    def _from_raw(cls, field: Field, R, kernel=None):
+        """The complex of the raw rows R, trusted skew, with no coercion or
+        skew check; kernel, if given, is its raw reduced kernel basis."""
+        cx = cls.__new__(cls)
+        cx._set(field, R)
+        if kernel is not None:
+            cx._kernel = Subspace._reduced(field, 6, [_wrap(field, k) for k in kernel])
+        return cx
+
+    def _set(self, field, R):
         lead = next((R[i][j] for i, j in PAIRS if not field._is_zero(R[i][j])), None)
         if lead is not None and lead != field.one.v:
             inv = field._inv(lead)
-            M = [_wrap(field, field._scale(row, inv)) for row in R]
+            R = [field._scale(row, inv) for row in R]
         self.field = field
-        self.matrix = M
+        self.matrix = [_wrap(field, row) for row in R]
         self._kernel = None
 
     @classmethod
@@ -194,15 +206,11 @@ class GenericMorphism:
         skew, so their entries above the diagonal are combined once, as one
         vector per matrix."""
         field = self.field
-        neg, zero, size = field._neg, field.zero.v, self.n + 1
-        upper = [zero] * len(self._upper[0])
+        upper = [field.zero.v] * len(self._upper[0])
         for c, U in zip(coeffs, self._upper):
             if not field._is_zero(c):
                 upper = field._axpy(upper, c, U)
-        out = [[zero] * size for _ in range(size)]
-        for (i, j), a in zip(itertools.combinations(range(size), 2), upper):
-            out[i][j], out[j][i] = a, neg(a)
-        return out
+        return _skew_from_upper(field, upper, self.n + 1)
 
     def combination(self, lam):
         return [_wrap(self.field, row) for row in self._combination_raw(self._scalars(lam))]
@@ -269,6 +277,16 @@ class ComplexSystem(GenericMorphism):
 
     def __repr__(self):
         return f"{type(self).__name__}(over {self.field.short()})"
+
+
+def _skew_from_upper(field: Field, upper, size: int):
+    """The raw skew rows of order size with the raw entries upper above the
+    diagonal, row by row."""
+    neg, zero = field._neg, field.zero.v
+    out = [[zero] * size for _ in range(size)]
+    for (i, j), a in zip(itertools.combinations(range(size), 2), upper):
+        out[i][j], out[j][i] = a, neg(a)
+    return out
 
 
 def pfaffian_form(phi: GenericMorphism) -> MPoly:

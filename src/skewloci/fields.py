@@ -472,6 +472,7 @@ class ExtField(Field):
                 cur[i] = (cur[i] + top * red[0][i]) % p
             red.append(tuple(cur))
         self._red = red
+        self._frobs = {}
 
     def __call__(self, value) -> FieldElement:
         k = self.degree
@@ -628,6 +629,18 @@ class ExtField(Field):
         p, rows, mul = self.char, self._times(s), operator.mul
         return [tuple([sum(map(mul, row, x)) % p for row in rows]) for x in xs]
 
+    def _frob(self, xs, q):
+        """The raw list x_i^q for a power q of p: x -> x^q fixes F_p, so it
+        is the F_p-matrix whose column j is gen^(q j), built once per q."""
+        rows = self._frobs.get(q)
+        if rows is None:
+            g, cols = (self.gen() ** q).v, [self.one.v]
+            while len(cols) < self.degree:
+                cols.append(self._mul(cols[-1], g))
+            rows = self._frobs[q] = list(zip(*cols))
+        p, mul = self.char, operator.mul
+        return [tuple([sum(map(mul, row, x)) % p for row in rows]) for x in xs]
+
     def sort_key(self, v):
         return tuple(reversed(v))
 
@@ -658,7 +671,8 @@ class Embedding:
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field != self.src:
             raise PreconditionError("element %r is not in the embedding source" % (x,))
-        if isinstance(self.src, (PrimeField, Rationals)) or self.src == self.dst:
+        if isinstance(self.src, (PrimeField, Rationals)) or self.src == self.dst and (
+                self.gen_image is None or self.gen_image == self.src.gen()):
             return self.dst(x.v if isinstance(x.v, int) else x)
         acc = self.dst.zero
         for c in reversed(x.v):
@@ -938,9 +952,10 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _split(f: Poly, d: int, rng: random.Random) -> Poly:
+def _split(f: Poly, d: int, rng: random.Random, power=None) -> Poly:
     """A proper monic factor of f, a product of degree-d primes over an
-    odd-order field, by one Cantor-Zassenhaus split."""
+    odd-order field, by one Cantor-Zassenhaus split; power(a), if given,
+    is a^((q^d - 1)/2) mod f."""
     field = f.field
     exp = (field.order**d - 1) // 2
     while True:
@@ -949,9 +964,35 @@ def _split(f: Poly, d: int, rng: random.Random) -> Poly:
             continue
         g = poly_gcd(a, f)
         if not 0 < g.degree < f.degree:
-            g = poly_gcd(a.pow_mod(exp, f) - Poly(field, [1]), f)
+            h = a.pow_mod(exp, f) if power is None else power(a)
+            g = poly_gcd(h - Poly(field, [1]), f)
         if 0 < g.degree < f.degree:
             return g
+
+
+def _norm_power(f: Poly, lifted: Poly, emb: Embedding):
+    """a -> a^((q^e - 1)/2) mod lifted = emb.map_poly(f), for f over F_q
+    and emb.dst = F_{q^e}, as N(a)^((q - 1)/2) for the norm N(a) = a phi(a)
+    ... phi^(e-1)(a), phi(a) = a^q = sum a_i^q x^(iq), the x^(iq) mod f taken
+    over F_q once (von zur Gathen-Gerhard, Modern Computer Algebra, 14)."""
+    E, q, n = lifted.field, f.field.order, f.degree
+    xq, P, X = Poly.x(f.field).pow_mod(q, f), Poly(f.field, [1]), []
+    for _ in range(n):
+        v = list(emb.map_poly(P).v)
+        X.append(v + [E.zero.v] * (n - len(v)))
+        P = (P * xq) % f
+
+    def power(a):
+        norm = conj = a
+        for _ in range(E.degree // f.field.degree - 1):
+            out = [E.zero.v] * n
+            for c, x in zip(E._frob(conj.v, q), X):
+                out = E._axpy(out, c, x)
+            conj = Poly._from_raw(E, out)
+            norm = (norm * conj) % lifted
+        return norm.pow_mod((q - 1) // 2, lifted)
+
+    return power
 
 
 def _equal_degree_factor(f: Poly, d: int, rng: random.Random) -> list[Poly]:
@@ -962,11 +1003,12 @@ def _equal_degree_factor(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree_factor(g, d, rng) + _equal_degree_factor((f // g).monic(), d, rng)
 
 
-def _one_root(f: Poly, rng: random.Random) -> FieldElement:
+def _one_root(f: Poly, rng: random.Random, power=None) -> FieldElement:
     """One root of a monic f with deg(f) distinct roots in its field: split,
-    and keep only the smaller side."""
+    the first time with power (see _split), and keep only the smaller side."""
     while f.degree > 1:
-        g = _split(f, 1, rng)
+        g = _split(f, 1, rng, power)
+        power = None  # a proper factor of f need not be over F_q
         h = f // g
         f = g if g.degree <= h.degree else h
     return -f.c[0] / f.c[1]
@@ -974,11 +1016,13 @@ def _one_root(f: Poly, rng: random.Random) -> FieldElement:
 
 def frobenius_orbit(f: Poly, emb: Embedding, rng: random.Random) -> list[FieldElement]:
     """The roots r, r^q, ..., r^(q^(d-1)) in emb.dst of a monic irreducible f
-    of degree d over F_q: r by splitting, then its checked conjugates."""
+    of degree d over F_q: r by splitting, first by the norm (_norm_power),
+    then its conjugates by x -> x^q (ExtField._frob), each checked."""
     lifted = emb.map_poly(f)
-    conj = [_one_root(lifted, rng)]
+    E, q = lifted.field, f.field.order
+    conj = [_one_root(lifted, rng, _norm_power(f, lifted, emb))]
     for _ in range(f.degree - 1):
-        conj.append(conj[-1] ** f.field.order)
+        conj.append(FieldElement(E, E._frob([conj[-1].v], q)[0]))
     if len(set(conj)) != f.degree or any(not lifted(r).is_zero() for r in conj):
         raise InconsistencyError("irreducible factor failed to split in the splitting field")
     return conj

@@ -18,6 +18,8 @@ from .complexes import (
     SPECIAL_FIRST,
     SPECIAL_SECOND,
     ComplexSystem,
+    LinearComplex,
+    _skew_from_upper,
     pfaffian_form,
     second_type_complex,
     special_fiber,
@@ -29,8 +31,9 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import identity_embedding, roots
+from .linalg import _wrap, rank
 from .polys import binary_form_to_poly
-from .projective import Subspace, join, meet, random_vector
+from .projective import Subspace, join, map_subspace, meet, random_vector
 
 
 class Pencil(ComplexSystem):
@@ -66,7 +69,8 @@ def pencil_singular_elements(pencil: Pencil, allow_extension: bool = False,
 
     Each entry carries the parameter (lam : mu), the multiplicity, the member
     complex over the root's field, its classification, and the embedding of
-    the pencil's field into the root's field.
+    the pencil's field into the root's field; roots outside it are taken
+    one Frobenius orbit at a time (_orbit_members).
     """
     F = pencil.field
     B = pfaffian_form(pencil)
@@ -84,21 +88,45 @@ def pencil_singular_elements(pencil: Pencil, allow_extension: bool = False,
         )
     if b.degree >= 1:
         rr = roots(b, allow_extension=allow_extension, seed=seed)
-        lifted = None
+        conjugates = {}
         for r, mult in rr.pairs:
             if r.field == F:
                 member = pencil.member([F.one, r])
                 emb = ident
             else:
                 emb = rr.splitting[1]
-                if lifted is None:
-                    lifted = pencil.map(emb)
-                member = lifted.member([r.field.one, r])
+                if r.v not in conjugates:
+                    conjugates.update(_orbit_members(pencil, emb, r))
+                member = conjugates[r.v]
             out.append(
                 SingularMember(
                     emb(F.one), r, mult, member, member.classify(), emb
                 )
             )
+    return out
+
+
+def _orbit_members(pencil: Pencil, emb, r):
+    """{raw root: member} over the Frobenius orbit of the root r in emb.dst:
+    the member at (1 : r) from the pencil's raw upper rows, with its kernel.
+    x -> x^q fixes the pencil, 0 and 1, so it carries them, normalized and
+    reduced, to the member at (1 : r^q); each carried kernel row k is
+    checked to satisfy A k = 0."""
+    F, E = pencil.field, emb.dst
+    U0, U1 = ([emb(x).v for x in _wrap(F, U)] for U in pencil._upper)
+    cx = LinearComplex._from_raw(E, _skew_from_upper(E, E._axpy(U0, r.v, U1), 6))
+    R = [[x.v for x in row] for row in cx.matrix]
+    K = [[x.v for x in row] for row in cx.kernel_space().rows]
+    out, x, frob = {}, r.v, lambda xs: E._frob(xs, F.order)
+    for _ in range(E.degree // F.degree):
+        out[x] = cx
+        (x,) = frob([x])
+        if x in out:
+            break
+        R, K = [frob(row) for row in R], [frob(k) for k in K]
+        if any(not E._is_zero(E._dot(row, k)) for row in R for k in K):
+            raise InconsistencyError("a Frobenius conjugate kernel row misses its member")
+        cx = LinearComplex._from_raw(E, R, K)
     return out
 
 
@@ -127,13 +155,13 @@ def classify_configuration(l1: Subspace, l2: Subspace, l3: Subspace) -> Configur
             raise PreconditionError("expected lines in P^5")
     if l1 == l2 or l1 == l3 or l2 == l3:
         raise PreconditionError("the three lines must be distinct")
-    meets = (
+    # three lines spanning k^6 are pairwise skew: 2 + 2 + 2 = 6 is a direct sum
+    span_dim = rank(l1.field, l1.rows + l2.rows + l3.rows) - 1
+    meets = (False, False, False) if span_dim == 5 else (
         meet(l1, l2).dim > 0,
         meet(l1, l3).dim > 0,
         meet(l2, l3).dim > 0,
     )
-    span = join(join(l1, l2), l3)
-    span_dim = span.proj_dim
     if any(meets):
         return ConfigurationReport(4, lines, span_dim, None, meets)
     if span_dim == 5:
@@ -325,33 +353,12 @@ def alpha(pencil: Pencil, seed: int = 0) -> AlphaReport:
         )
     if any(m.multiplicity > 1 for m in members):
         return AlphaReport("non-reduced", members, None, None, None)
-    lines = [m.complex.kernel_space() for m in members]
-    # move everything into the largest root field when extensions differ
-    tops = {m.complex.field for m in members}
-    if len(tops) > 1:
-        top = max(tops, key=lambda K: K.degree)
-        from .projective import map_subspace
-
-        moved = []
-        for m in members:
-            if m.complex.field == top:
-                moved.append(m.complex.kernel_space())
-            else:
-                hop = _hop_embedding(m, top, members)
-                moved.append(map_subspace(hop, m.complex.kernel_space()))
-        lines = moved
+    # base-field roots come first, so the last member's embedding reaches
+    # the one root field above the base, if there is one
+    top = members[-1].embedding
+    lines = [l if l.field == top.dst else map_subspace(top, l)
+             for l in (m.complex.kernel_space() for m in members)]
     config = classify_configuration(*lines)
     if config.case_id == 1:
         return AlphaReport("expected-dim-1", members, lines, config, None)
     return AlphaReport(f"case-{config.case_id}", members, lines, config, None)
-
-
-def _hop_embedding(member, top, members):
-    """Embedding of a member's field into the common top root field."""
-    src = member.complex.field
-    if src == member.embedding.src:
-        # member stayed in the base field; ride any embedding into the top
-        for other in members:
-            if other.complex.field == top:
-                return other.embedding
-    raise InconsistencyError("roots landed in incomparable extensions")

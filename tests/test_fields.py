@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewloci import fields
+from skewloci import fields, polys
 from skewloci.cubic import PlaneCubic
 from skewloci.errors import PreconditionError, UnsupportedFieldError
 from skewloci.fields import (
@@ -641,6 +641,73 @@ def test_frobenius_conjugates_match_factor_then_split(make):
         assert (rr.splitting[0] if rr.splitting else None) == ext
         seen.update(fac.degree for fac, _ in factor(f))
     assert {2, 3, 4} <= seen
+
+
+def _irreducible(F, d, rng):
+    while True:
+        f = Poly(F, [F.random(rng) for _ in range(d)] + [1])
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("base_degree, d", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)],
+                         ids=["F101^2", "F101^3", "F101^4", "F101^2:2", "F101^2:3"])
+def test_the_norm_split_takes_the_split_root(base_degree, d):
+    """For f over F_q, a^((Q-1)/2) = N(a)^((q-1)/2): the same draws give the
+    same gcd, so the same root as the generic split."""
+    F101 = PrimeField(101)
+    F = F101 if base_degree == 1 else extend_field(F101, base_degree)[0]
+    rng = random.Random(d)
+    for _ in range(4):
+        f = _irreducible(F, d, rng)
+        E, emb = extend_field(F, d)
+        lifted = emb.map_poly(f)
+        power = fields._norm_power(f, lifted, emb)
+        for _ in range(3):
+            a = Poly(E, [E.random(rng) for _ in range(d)])
+            assert power(a) == a.pow_mod((E.order - 1) // 2, lifted)
+        for seed in range(3):
+            assert fields._split(lifted, 1, random.Random(seed), power) == (
+                fields._split(lifted, 1, random.Random(seed)))
+            assert fields._one_root(lifted, random.Random(seed), power) == (
+                fields._one_root(lifted, random.Random(seed)))
+
+
+@pytest.mark.parametrize("p, k", [(101, 2), (101, 3), (7, 4), (3, 5)])
+def test_the_frobenius_matrix_is_the_qth_power(p, k):
+    E, _ = extend_field(PrimeField(p), k)
+    rng = random.Random(k)
+    xs = [E.random(rng) for _ in range(20)] + [E.zero, E.one, E.gen()]
+    for j in range(1, k + 1):
+        if k % j == 0:
+            q = p ** j
+            assert E._frob([x.v for x in xs], q) == [(x ** q).v for x in xs]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_an_orbit_root_over_an_extension_base_takes_the_split_root(d):
+    K, _ = extend_field(PrimeField(101), 2)
+    rng = random.Random(40 + d)
+    for seed in range(2):
+        f = _irreducible(K, d, rng)
+        E, emb = extend_field(K, d, seed=seed)
+        r = fields._one_root(emb.map_poly(f), random.Random(seed))
+        orbit = [r ** (K.order ** i) for i in range(d)]
+        want = min(orbit, key=lambda x: E.sort_key(x.v))
+        got, got_emb = polys._orbit_root(f, seed)
+        assert got == want
+        assert got_emb.gen_image == emb.gen_image
+
+
+def test_an_embedding_into_its_own_field_applies_its_generator_image():
+    E, _ = extend_field(PrimeField(101), 3)
+    t = E.gen()
+    assert t ** 101 != t
+    frob = fields.Embedding(E, E, t ** 101)
+    assert frob(t) == t ** 101
+    assert frob(t * t + 3) == (t * t + 3) ** 101
+    assert identity_embedding(E)(t) == t
+    assert fields.Embedding(E, E, None)(t) == t
 
 
 def test_a_second_extension_runs_no_irreducibility_test(monkeypatch):

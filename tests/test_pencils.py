@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewloci.complexes import (
     SPECIAL_FIRST,
@@ -12,9 +14,10 @@ from skewloci.complexes import (
     pfaffian_form,
 )
 from skewloci.errors import DegenerateInputError, PreconditionError
-from skewloci.fields import QQ, PrimeField
+from skewloci.fields import QQ, PrimeField, roots
 from skewloci.linalg import PAIRS
 from skewloci.nets import Net
+from skewloci.polys import binary_form_to_poly
 from skewloci.pencils import (
     AlphaReport,
     Pencil,
@@ -201,6 +204,99 @@ def test_configuration_case_4():
     assert rep.pairwise_meets[0]
 
 
+def test_a_spanning_triple_runs_no_meet(monkeypatch):
+    """Three lines spanning k^6 are pairwise skew, so case 1 needs no meet."""
+    import skewloci.pencils as pencils
+
+    def refuse(a, b):
+        raise AssertionError("meet ran on a spanning triple")
+
+    F = PrimeField(7)
+    lines = [_basis_line(F, 0, 1), _basis_line(F, 2, 3), _basis_line(F, 4, 5)]
+    monkeypatch.setattr(pencils, "meet", refuse)
+    rep = classify_configuration(*lines)
+    assert (rep.case_id, rep.span_dim, rep.pairwise_meets) == (1, 5, (False, False, False))
+
+
+def _configuration_by_meets(l1, l2, l3):
+    """(case, span dim, meets, trisecant) by the three pairwise meets and the
+    joined span: the oracle of classify_configuration."""
+    meets = (meet(l1, l2).dim > 0, meet(l1, l3).dim > 0, meet(l2, l3).dim > 0)
+    span_dim = join(join(l1, l2), l3).proj_dim
+    case = 4 if any(meets) else {5: 1, 4: 2, 3: 3}[span_dim]
+    return case, span_dim, meets, trisecant(l1, l2, l3) if case == 2 else None
+
+
+@pytest.mark.parametrize("lines, case", [
+    ([(0, 1), (2, 3), [[0, 0, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0]]], 2),
+    ([(0, 1), (2, 3), [[1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0]]], 3),
+    ([(0, 1), (0, 2), (3, 4)], 4),
+    ([(0, 1), (1, 2), (0, 2)], 4),
+    ([(0, 1), (2, 3), (0, 2)], 4),
+])
+def test_configuration_cases_2_to_4_report_their_meets(lines, case):
+    F = PrimeField(7)
+    ls = [_basis_line(F, *l) if isinstance(l, tuple) else line_through(F, *l)
+          for l in lines]
+    rep = classify_configuration(*ls)
+    assert rep.case_id == case
+    assert (rep.case_id, rep.span_dim, rep.pairwise_meets, rep.trisecant) == (
+        _configuration_by_meets(*ls)
+    )
+
+
+def _singular_elements_per_root(pen, seed):
+    """(lam, mu, multiplicity, member, kind) with each member built at its
+    own root, over its root field by pen.map: the oracle of
+    pencil_singular_elements with extensions, and the root field's embedding."""
+    F = pen.field
+    b, drop = binary_form_to_poly(pfaffian_form(pen), 0, 1)
+    out, emb = [], None
+    if drop:
+        cx = pen.member([0, 1])
+        out.append((F.zero, F.one, drop, cx, cx.classify()))
+    if b.degree >= 1:
+        rr = roots(b, allow_extension=True, seed=seed)
+        emb = rr.splitting[1] if rr.splitting else None
+        for r, mult in rr.pairs:
+            cx = (pen if r.field == F else pen.map(emb)).member([r.field.one, r])
+            out.append((r.field.one, r, mult, cx, cx.classify()))
+    return out, emb
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    p=st.sampled_from((7, 11, 13, 101, 103)),
+    pairs=st.lists(st.integers(0, 102), min_size=30, max_size=30),
+    seed=st.integers(0, 3),
+)
+def test_frobenius_transport_matches_each_root_built_alone(p, pairs, seed):
+    F = PrimeField(p)
+    try:
+        pen = Pencil.from_pair_vectors(F, [pairs[:15], pairs[15:]])
+        want, emb = _singular_elements_per_root(pen, seed)
+    except (PreconditionError, DegenerateInputError):
+        return
+    got = pencil_singular_elements(pen, allow_extension=True, seed=seed)
+    assert [(m.lam, m.mu, m.multiplicity, m.complex.matrix, m.kind) for m in got] == [
+        (lam, mu, mult, cx.matrix, kind) for lam, mu, mult, cx, kind in want
+    ]
+    assert [m.complex.kernel_space().rows for m in got] == [
+        cx.kernel_space().rows for *_, cx, _ in want
+    ]
+    rep = alpha(pen, seed=seed)
+    if rep.lines is None:
+        return
+    top = max((cx.field for *_, cx, _ in want), key=lambda K: K.degree)
+    lines = [cx.kernel_space() if cx.field == top else map_subspace(emb, cx.kernel_space())
+             for *_, cx, _ in want]
+    assert rep.lines == lines
+    cfg = rep.configuration
+    assert (cfg.case_id, cfg.span_dim, cfg.pairwise_meets, cfg.trisecant) == (
+        _configuration_by_meets(*lines)
+    )
+
+
 def test_trisecant_randomized_case_2():
     F = PrimeField(11)
     rng = random.Random(6)
@@ -364,8 +460,21 @@ IRREDUCIBLE_F101 = (
 )
 
 
-def test_alpha_eliminates_once_per_member_for_its_kernel(monkeypatch):
-    """rank, classify, kernel_space and complex_class share one kernel."""
+# a random F101 pencil whose binary Pfaffian cubic is a linear times an
+# irreducible quadratic: one member over F101, two over F_{101^2}
+SPLIT_F101 = (
+    [40, 48, 54, 67, 21, 71, 22, 30, 29, 3, 22, 41, 22, 17, 65],
+    [65, 46, 65, 86, 71, 23, 57, 53, 94, 67, 97, 46, 75, 45, 46],
+)
+
+
+@pytest.mark.parametrize("pairs, degrees, orbits", [
+    (IRREDUCIBLE_F101, [3, 3, 3], 1),
+    (SPLIT_F101, [1, 2, 2], 2),
+], ids=["irreducible", "split"])
+def test_alpha_eliminates_once_per_frobenius_orbit(monkeypatch, pairs, degrees, orbits):
+    """rank, classify, kernel_space and complex_class share one kernel, and
+    the conjugates of a member carry theirs from it."""
     import skewloci.linalg as linalg
 
     calls = []
@@ -382,12 +491,12 @@ def test_alpha_eliminates_once_per_member_for_its_kernel(monkeypatch):
         return real(field, R)
 
     monkeypatch.setattr(linalg, "_rref_raw", counting)
-    pen = Pencil.from_pair_vectors(PrimeField(101), IRREDUCIBLE_F101)
+    pen = Pencil.from_pair_vectors(PrimeField(101), pairs)
     rep = alpha(pen)
     assert rep.verdict == "expected-dim-1"
-    assert {m.complex.field.degree for m in rep.members} == {3}
+    assert sorted(m.complex.field.degree for m in rep.members) == degrees
     for m in rep.members:
         m.complex.rank()
         m.complex.complex_class()
-    assert len(calls) == len(rep.members) == 3
-    assert {id(cx) for cx in calls} == {id(m.complex) for m in rep.members}
+    assert len(calls) == len({id(cx) for cx in calls}) == orbits
+    assert {id(cx) for cx in calls} <= {id(m.complex) for m in rep.members}
